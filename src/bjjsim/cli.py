@@ -2,9 +2,9 @@
 
 Subcommands: evolve (witness trajectory), sweep (per-interaction summary over
 a grid), wigner (sphere grids plus separatrix), oat-compare (coupled vs pure
-twisting), fit (short-time coefficient extraction).  All runs are seedless
-and bit-reproducible; repeated runs with the same configuration produce
-byte-identical files.
+twisting), fit (short-time coefficient extraction).  All runs are seedless;
+repeated runs with the same configuration at the same BLAS thread count
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class RunConfig:
     fmt: str = "csv"
     compare: tuple[str, ...] = ()
     workers: int = 1
-    seedless: bool = True  # no randomness anywhere, by construction
 
     def __post_init__(self):
         if self.initial_state not in ("pi", "zero", "custom"):
@@ -100,8 +99,6 @@ class RunConfig:
             raise ConfigError(f"unknown compare targets {sorted(unknown)}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if not self.seedless:
-            raise ConfigError("runs are seedless by construction")
 
 
 @dataclass(frozen=True)
@@ -283,11 +280,10 @@ def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = No
     try:
         for i, t in enumerate(snapshot_times):
             grid = wigner_grid(evolve(spec, psi0, t))
-            peak = grid.peak_normalized()
-            rows = []
-            for a, th in enumerate(grid.theta_samples):
-                for b, ph in enumerate(grid.phi_samples):
-                    rows.append([th, ph, grid.values[a, b], peak[a, b]])
+            theta, phi = np.meshgrid(grid.theta_samples, grid.phi_samples, indexing="ij")
+            rows = np.column_stack(
+                [theta.ravel(), phi.ravel(), grid.values.ravel(), grid.peak_normalized().ravel()]
+            )
             path = cfg.out_dir / f"wigner_t{i:02d}.{cfg.fmt}"
             written.append(write_table(path, cfg.fmt, "bjj-wigner", WIGNER_COLUMNS, rows))
         if emit_separatrix:
@@ -361,7 +357,6 @@ _CONFIG_KEYS = {
     "n": int, "lam": float, "state": str, "theta": float, "phi": float,
     "t_max": float, "steps": int, "out": str, "format": str, "compare": str,
     "workers": int, "lambda_grid": str, "snapshots": str, "separatrix": bool,
-    "window": float, "degree": int,
 }
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-from scipy.special import sph_harm_y
+from scipy.special import sph_legendre_p_all
 
 from .spin_core import StateVector, _validate_even_n, raising_coefficients
 
@@ -22,6 +22,7 @@ TENSOR_NORM_TOL = 1e-6
 IMAG_RESIDUE_TOL = 1e-8
 ENERGY_TOL = 1e-8
 ROOT_RESIDUAL_TOL = 1e-9
+TABLE_DOUBLES = 1 << 17  # Legendre-table chunk bound: 1 MiB
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,17 @@ def mean_field_energy(z, phi, lam: float):
 
 
 @lru_cache(maxsize=None)
-def _tensor_components(n_particles: int):
-    """Diagonals of the orthonormal tensor operators for spin j = N/2.
+def _tensor_components(n_particles: int) -> tuple[np.ndarray, ...]:
+    """Orthonormal tensor operators for spin j = N/2, stacked per azimuthal order.
 
-    components[k][q] holds <m+q|T_kq|m> (real) for the valid m range.  On the
+    blocks[q][:, k - q] holds <m+q|T_kq|m> (real) for q = 0 ... N, k = q ... N
+    and the valid m range; T_{k,-q} = (-1)^q T_kq^dag gives negative q.  On the
     space of fixed-q diagonals, the adjoint-action Casimir sum_a [J_a,[J_a, .]]
     is symmetric tridiagonal with nondegenerate eigenvalues k(k+1), so each
     q-block is obtained from one backward-stable tridiagonal eigensolve (a
     naive commutator descent in q loses orthogonality like 2^N eps).  Signs
     follow the usual convention via single lowering steps from T_kk, whose
-    entries are positive; negative q comes from T_{k,-q} = (-1)^q T_kq^dag.
+    entries are positive.
     """
     n = _validate_even_n(n_particles)
     dim = n + 1
@@ -114,8 +116,8 @@ def _tensor_components(n_particles: int):
         out[ok] = f[idx[ok]]
         return out
 
-    # per positive q: eigen-decompose the Casimir block, columns are k = q..n
-    by_q: list[np.ndarray] = []
+    # per q: eigen-decompose the Casimir block, columns are k = q..n
+    blocks: list[np.ndarray] = []
     for q in range(n + 1):
         size = dim - q
         i = np.arange(size)
@@ -133,35 +135,49 @@ def _tensor_components(n_particles: int):
             raise RuntimeError(
                 f"tensor spectrum drift {drift:.3e} for N={n}, q={q}: construction unstable"
             )
-        by_q.append(v)
+        blocks.append(v)
 
-    components: list[dict[int, np.ndarray]] = [dict() for _ in range(n + 1)]
     # highest components: (-1)^k times the positive (J+)^k direction (the
     # spherical convention, which makes <j j|T_k0|j j> > 0), with signs
     # propagated downward one exact lowering step at a time
-    for k in range(n + 1):
-        col = by_q[k][:, 0]
-        sign = 1.0 if col.sum() > 0 else -1.0
-        components[k][k] = (-1) ** k * sign * col
+    for k, v in enumerate(blocks):
+        if (-1) ** k * v[:, 0].sum() < 0:
+            v[:, 0] *= -1.0
     for q in range(n - 1, -1, -1):
-        v = by_q[q]
+        upper = blocks[q + 1]  # columns k = q+1 .. n, signs already fixed
         i = np.arange(dim - q)
-        for idx_k, k in enumerate(range(q, n + 1)):
-            if k == q:
-                continue
-            upper = components[k][q + 1]
-            # [J-, T_{k,q+1}] restricted to the q diagonal
-            lowered = f_at(i + q) * np.append(upper, 0.0) - f_at(i - 1) * np.concatenate(
-                [[0.0], upper]
-            )
-            col = v[:, idx_k]
-            components[k][q] = col if lowered @ col > 0 else -col
-    for k in range(n + 1):
-        for q in range(1, k + 1):
-            components[k][-q] = (-1) ** q * components[k][q]
-        for arr in components[k].values():
-            arr.setflags(write=False)
-    return tuple(components)
+        pad = np.zeros((1, upper.shape[1]))
+        # [J-, T_{k,q+1}] restricted to the q diagonal
+        lowered = (
+            f_at(i + q)[:, None] * np.vstack([upper, pad])
+            - f_at(i - 1)[:, None] * np.vstack([pad, upper])
+        )
+        v = blocks[q]
+        v[:, 1:] *= np.where(np.einsum("ik,ik->k", lowered, v[:, 1:]) > 0, 1.0, -1.0)
+    for v in blocks:
+        v.setflags(write=False)
+    return tuple(blocks)
+
+
+def _multipole_array(psi: StateVector) -> np.ndarray:
+    """rho_kq = <psi|T_kq^dag|psi> as an (N+1) x (2N+1) array, zero where |q| > k.
+
+    Column q holds order q, negative q counted from the end (column -1 is
+    q = -1), the layout of scipy's sph_legendre_p_all.  One matrix product
+    per q against the stacked tensor columns; negative q follows from
+    Hermiticity.
+    """
+    n = psi.n_particles
+    dim = n + 1
+    c = psi.amplitudes
+    rho = np.zeros((n + 1, 2 * n + 1), dtype=complex)
+    for q, block in enumerate(_tensor_components(n)):
+        x = np.conj(c[: dim - q]) * c[q:]
+        re, im = (block.T @ np.stack([x.real, x.imag], axis=1)).T
+        rho[q:, q] = re + 1j * im
+        if q:
+            rho[q:, -q] = (-1) ** q * np.conj(rho[q:, q])
+    return rho
 
 
 def density_multipoles(psi: StateVector) -> dict[tuple[int, int], complex]:
@@ -170,33 +186,30 @@ def density_multipoles(psi: StateVector) -> dict[tuple[int, int], complex]:
     Hermiticity guarantees rho_{k,-q} = (-1)^q conj(rho_kq), and purity makes
     sum |rho_kq|^2 = 1; both are exercised by the tests.
     """
+    rho = _multipole_array(psi)
     n = psi.n_particles
-    dim = n + 1
-    comps = _tensor_components(n)
-    c = psi.amplitudes
-    rho: dict[tuple[int, int], complex] = {}
-    for k in range(n + 1):
-        for q, tvec in comps[k].items():
-            if q >= 0:
-                val = np.sum(tvec * np.conj(c[: dim - q]) * c[q:])
-            else:
-                aq = -q
-                val = np.sum(tvec * np.conj(c[aq:]) * c[: dim - aq])
-            rho[(k, q)] = complex(val)
-    return rho
+    return {(k, q): complex(rho[k, q]) for k in range(n + 1) for q in range(-k, k + 1)}
 
 
-def _theta_profiles(rho, n: int, thetas: np.ndarray) -> dict[int, np.ndarray]:
-    """sum_k rho_kq Y_kq(theta, 0) for each azimuthal order q."""
-    profiles: dict[int, np.ndarray] = {}
-    for q in range(-n, n + 1):
-        prof = np.zeros(thetas.size, dtype=complex)
-        for k in range(abs(q), n + 1):
-            coeff = rho[(k, q)]
-            if coeff != 0.0:
-                prof += coeff * sph_harm_y(k, q, thetas, 0.0)
-        profiles[q] = prof
-    return profiles
+def _theta_profiles(rho: np.ndarray, thetas: np.ndarray):
+    """Yield (slice, profiles) over chunks of theta, profiles[i, q] = sum_k rho_kq Y_kq(theta_i, 0).
+
+    The spherical Legendre table costs (N+1)(2N+1) doubles per angle, so it
+    is built for at most TABLE_DOUBLES // ((N+1)(2N+1)) angles at a time.
+    """
+    n = rho.shape[0] - 1
+    step = max(1, TABLE_DOUBLES // rho.size)
+    for start in range(0, thetas.size, step):
+        sl = slice(start, start + step)
+        table = sph_legendre_p_all(n, n, thetas[sl])[0]  # (k, q, theta)
+        yield sl, (
+            np.einsum("kqt,kq->tq", table, rho.real) + 1j * np.einsum("kqt,kq->tq", table, rho.imag)
+        )
+
+
+def _orders(n: int) -> np.ndarray:
+    """Azimuthal orders in the column layout of _multipole_array."""
+    return np.concatenate([np.arange(n + 1), np.arange(-n, 0)])
 
 
 def wigner(psi: StateVector, n_theta: int | None = None, n_phi: int | None = None) -> SphereGrid:
@@ -216,12 +229,10 @@ def wigner(psi: StateVector, n_theta: int | None = None, n_phi: int | None = Non
 
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(-np.pi, np.pi, n_phi, endpoint=False)
-    rho = density_multipoles(psi)
-    profiles = _theta_profiles(rho, n, thetas)
-
-    w = np.zeros((n_theta, n_phi), dtype=complex)
-    for q, prof in profiles.items():
-        w += np.outer(prof, np.exp(1j * q * phis))
+    phase = np.exp(1j * np.outer(_orders(n), phis))
+    w = np.empty((n_theta, n_phi), dtype=complex)
+    for sl, prof in _theta_profiles(_multipole_array(psi), thetas):
+        w[sl] = prof @ phase
     residue = np.abs(w.imag).max()
     if residue > IMAG_RESIDUE_TOL:
         raise RuntimeError(f"Wigner values not real: imaginary residue {residue:.3e}")
@@ -237,16 +248,12 @@ def wigner_at(psi: StateVector, theta, phi) -> np.ndarray:
     if theta.shape != phi.shape:
         raise ValueError("theta and phi must have matching shapes")
     n = psi.n_particles
-    rho = density_multipoles(psi)
-    w = np.zeros(theta.shape, dtype=complex)
-    for q in range(-n, n + 1):
-        prof = np.zeros(theta.shape, dtype=complex)
-        for k in range(abs(q), n + 1):
-            coeff = rho[(k, q)]
-            if coeff != 0.0:
-                prof += coeff * sph_harm_y(k, q, theta, 0.0)
-        w += prof * np.exp(1j * q * phi)
-    return w.real * np.sqrt((n + 1) / (4.0 * np.pi))
+    orders = _orders(n)
+    flat_phi = phi.ravel()
+    w = np.empty(theta.size)
+    for sl, prof in _theta_profiles(_multipole_array(psi), theta.ravel()):
+        w[sl] = np.einsum("iq,iq->i", prof, np.exp(1j * np.outer(flat_phi[sl], orders))).real
+    return w.reshape(theta.shape) * np.sqrt((n + 1) / (4.0 * np.pi))
 
 
 def _separatrix_z(phi: float, lam: float) -> float | None:

@@ -1,12 +1,15 @@
 """Command-line harness: file emission, validation, determinism."""
 
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
+import bjjsim.cli
 from bjjsim.cli import (
+    SWEEP_COLUMNS,
     ConfigError,
     RunConfig,
     SweepConfig,
@@ -119,6 +122,24 @@ class TestSweep:
         assert path_a.read_bytes() == path_b.read_bytes()
 
 
+    def test_error_row_reads_back(self, tmp_path, monkeypatch):
+        message = 'CovarianceYZ(gzz=1.0, gyy=2.0, gyz=0.0) is "singular"'
+
+        def fail(*args, **kwargs):
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(bjjsim.cli, "minimize_zeta2", fail)
+        cfg = SweepConfig(lambda_grid=(0.4,), base=small_cfg(tmp_path, params=ModelParams.coupled(60, 0.4)))
+        with open(run_sweep(cfg)[0], newline="") as fh:
+            fh.readline()
+            header, row = list(csv.reader(fh))
+        assert header == list(SWEEP_COLUMNS)
+        assert len(row) == len(SWEEP_COLUMNS)
+        assert row[0] == "0.40000000000000002"
+        assert all(field == "nan" for field in row[1:-1])
+        assert row[-1] == f"error: {message}"
+
+
 class TestWigner:
     def test_snapshot_and_separatrix_files(self, tmp_path):
         cfg = small_cfg(tmp_path, params=ModelParams.coupled(30, 2.0), initial_state="pi")
@@ -139,6 +160,16 @@ class TestWigner:
         cfg = small_cfg(tmp_path, params=ModelParams.coupled(30, 0.5))
         with pytest.raises(ConfigError, match="separatrix"):
             run_wigner(cfg, [0.0], want_separatrix=True)
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeat_runs_byte_identical(self, tmp_path, fmt):
+        contents = []
+        for run in ("r1", "r2"):
+            cfg = small_cfg(tmp_path / run, params=ModelParams.coupled(30, 2.0), fmt=fmt)
+            contents.append([p.read_bytes() for p in run_wigner(cfg, [0.0, 1.0])])
+        assert len(contents[0]) == 3
+        assert contents[0] == contents[1]
 
 
 class TestOatCompare:
@@ -188,6 +219,14 @@ class TestMain:
         conf = tmp_path / "run.conf"
         conf.write_text("frobnicate = 1\n")
         assert main(["evolve", "--config", str(conf), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("line", ["window = 0.05", "degree = 3"])
+    def test_fit_protocol_keys_rejected(self, tmp_path, capsys, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"n = 60\n{line}\n")
+        assert main(["fit", "--config", str(conf), "--out", str(tmp_path)]) == 1
+        assert "unknown config key" in capsys.readouterr().err
+        assert not (tmp_path / "fit.csv").exists()
 
     def test_evolve_deterministic(self, tmp_path):
         args = ["evolve", "--n", "60", "--lambda", "0.5", "--t-max", "2.0",

@@ -1,8 +1,11 @@
 """Multipole decomposition, Wigner grids, and the mean-field separatrix."""
 
+import importlib
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import sph_harm_y
 
 from bjjsim.exact_dynamics import eigendecompose, evolve, hamiltonian
 from bjjsim.spin_core import ModelParams, coherent_state
@@ -122,6 +125,53 @@ class TestWignerGrid:
         w_rotated = wigner_at(psi0, theta_r.ravel(), phi_r.ravel())
 
         assert np.abs(w_evolved - w_rotated).max() < 1e-6
+
+
+def evolved_state(n, lam=2.0, t=0.9):
+    spec = eigendecompose(hamiltonian(ModelParams.coupled(n, lam)))
+    return evolve(spec, coherent_state(n, np.pi / 2, np.pi), t)
+
+
+def direct_wigner(psi, thetas, phis):
+    """Reference double sum over scalar spherical harmonics, on a theta x phi grid.
+
+    Uses Y_kq(theta, phi) = Y_kq(theta, 0) e^{i q phi} so that the harmonics
+    are evaluated once per theta.
+    """
+    n = psi.n_particles
+    rho = density_multipoles(psi)
+    w = np.zeros((thetas.size, phis.size), dtype=complex)
+    for q in range(-n, n + 1):
+        prof = sum(rho[(k, q)] * sph_harm_y(k, q, thetas, 0.0) for k in range(abs(q), n + 1))
+        w += np.outer(prof, np.exp(1j * q * phis))
+    return w.real * np.sqrt((n + 1) / (4.0 * np.pi))
+
+
+class TestWignerKernel:
+    def test_grid_matches_direct_sum(self):
+        psi = evolved_state(10)
+        grid = wigner(psi)
+        ref = direct_wigner(psi, grid.theta_samples, grid.phi_samples)
+        assert np.abs(grid.values - ref).max() < 1e-12
+
+    def test_large_n_rows_match_direct_sum(self):
+        psi = evolved_state(100, lam=2.5, t=1.1)
+        grid = wigner(psi)
+        rows = [0, 37, grid.theta_samples.size // 2, grid.theta_samples.size - 1]
+        ref = direct_wigner(psi, grid.theta_samples[rows], grid.phi_samples)
+        assert np.abs(grid.values[rows] - ref).max() < 1e-12
+
+    def test_wigner_at_grid_points_equals_grid(self):
+        psi = evolved_state(N)
+        grid = wigner(psi)
+        tt, pp = np.meshgrid(grid.theta_samples, grid.phi_samples, indexing="ij")
+        assert np.abs(wigner_at(psi, tt, pp) - grid.values).max() < 1e-12
+
+    def test_theta_chunking_does_not_change_values(self, monkeypatch):
+        psi = evolved_state(N)
+        whole = wigner(psi).values
+        monkeypatch.setattr(importlib.import_module("bjjsim.wigner"), "TABLE_DOUBLES", 1)  # one theta per chunk
+        assert np.abs(wigner(psi).values - whole).max() < 1e-12
 
 
 class TestSeparatrix:
