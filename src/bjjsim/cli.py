@@ -21,7 +21,7 @@ import numpy as np
 
 from . import phase_model
 from .wigner import separatrix as separatrix_curve, wigner as wigner_grid
-from .exact_dynamics import hamiltonian, eigendecompose, evolve, trajectory, zeta2_of_time
+from .exact_dynamics import band_spectrum, evolve, trajectory, witness_of_time, zeta2_of_time
 from .oat import oat_covariance, oat_jx
 from .output import write_table
 from .spin_core import ModelParams, StateVector, coherent_state
@@ -37,6 +37,11 @@ from .witnesses import (
 )
 
 ENV_OUT_DIR = "BJJ_OUT_DIR"
+#: Largest particle number accepted.  The operator tables that the scalar
+#: per-time path uses hold dense complex (N+1) x (N+1) matrices, 16 (N+1)^2
+#: bytes each, and every path holds the real eigenvector matrix, 8 (N+1)^2
+#: bytes: Jx, Jy, Jz and V together take about 0.9 GB at N = 4000.
+MAX_N = 4000
 
 EVOLVE_COLUMNS = (
     "t", "omega_t", "jx_mean", "gzz", "gyy", "gyz",
@@ -75,9 +80,7 @@ class RunConfig:
     """One experiment: parameters, initial state, time grid, output selection."""
 
     params: ModelParams
-    initial_state: str = "pi"  # "pi", "zero" or "custom"
-    theta: float = math.pi / 2.0
-    phi: float = math.pi
+    initial_state: str = "pi"  # "pi" or "zero"
     t_max: float = 10.0
     n_steps: int = 200
     out_dir: Path = field(default_factory=Path)
@@ -86,7 +89,9 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.initial_state not in ("pi", "zero", "custom"):
+        if self.params.n_particles > MAX_N:
+            raise ConfigError(f"N = {self.params.n_particles} exceeds the limit N <= {MAX_N}")
+        if self.initial_state not in ("pi", "zero"):
             raise ConfigError(f"unknown initial state {self.initial_state!r}")
         if self.t_max <= 0:
             raise ConfigError(f"t_max must be positive, got {self.t_max}")
@@ -118,11 +123,7 @@ class SweepConfig:
 
 def initial_state_vector(cfg: RunConfig) -> StateVector:
     n = cfg.params.n_particles
-    if cfg.initial_state == "pi":
-        return coherent_state(n, math.pi / 2.0, math.pi)
-    if cfg.initial_state == "zero":
-        return coherent_state(n, math.pi / 2.0, 0.0)
-    return coherent_state(n, cfg.theta, cfg.phi)
+    return coherent_state(n, math.pi / 2.0, math.pi if cfg.initial_state == "pi" else 0.0)
 
 
 def dimensionless_frequency(cfg: RunConfig) -> float:
@@ -166,8 +167,6 @@ def _validate_compare(cfg: RunConfig):
         p = cfg.params
         if p.omega == 0.0:
             raise ConfigError("analytic comparison needs a coupled run (omega > 0)")
-        if cfg.initial_state == "custom":
-            raise ConfigError("analytic comparison is defined for the pi and zero states only")
         if cfg.initial_state == "pi" and abs(p.lam - 1.0) < phase_model.CRITICAL_MARGIN:
             raise ConfigError("analytic pi-state comparison undefined at the critical point lam = 1")
 
@@ -203,7 +202,11 @@ def _fit_in_omega_time(params: ModelParams, psi0: StateVector):
     """Protocol fit of the exact trajectory, reported in powers of omega*t."""
     n, chi = params.n_particles, params.chi
     times = np.concatenate([[0.0], FIT_WINDOW * np.arange(1, FIT_SAMPLES + 1) / FIT_SAMPLES / (n * chi)])
-    fit = fit_taylor_coeffs(trajectory(params, psi0, times), n, chi)
+    # Scalar per-time samples, not the batched trajectory kernel: the fit
+    # amplifies sample roundoff to about 1e-8 relative in p4, so the samples
+    # keep the arithmetic that the stored sweep and fit outputs came from.
+    record = witness_of_time(params, psi0)
+    fit = fit_taylor_coeffs([record(float(t)) for t in times], n, chi)
     return fit, fit.coeffs.in_omega_time(params.lam) if params.omega > 0 else None
 
 
@@ -275,7 +278,7 @@ def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = No
     emit_separatrix = has_separatrix if want_separatrix is None else want_separatrix
 
     psi0 = initial_state_vector(cfg)
-    spec = eigendecompose(hamiltonian(p))
+    spec = band_spectrum(p)
     written: list[Path] = []
     try:
         for i, t in enumerate(snapshot_times):
@@ -354,7 +357,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 _CONFIG_KEYS = {
-    "n": int, "lam": float, "state": str, "theta": float, "phi": float,
+    "n": int, "lam": float, "state": str,
     "t_max": float, "steps": int, "out": str, "format": str, "compare": str,
     "workers": int, "lambda_grid": str, "snapshots": str, "separatrix": bool,
 }
@@ -376,16 +379,13 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _add_common(sub: argparse.ArgumentParser, state_default: bool = True):
+def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="flat key = value config file; flags override")
-    sub.add_argument("--n", type=int, default=None, help="particle number (even)")
+    sub.add_argument("--n", type=int, default=None, help=f"particle number (even, at most {MAX_N})")
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="interaction over tunneling; omega is 1, chi = lam/N")
-    if state_default:
-        sub.add_argument("--state", choices=("pi", "zero", "custom"), default=None,
-                         help="initial coherent state")
-        sub.add_argument("--theta", type=float, default=None, help="custom state polar angle")
-        sub.add_argument("--phi", type=float, default=None, help="custom state azimuth")
+    sub.add_argument("--state", choices=("pi", "zero"), default=None,
+                     help="initial coherent state")
     sub.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT_DIR} or cwd)")
     sub.add_argument("--format", choices=("csv", "json"), default=None)
     sub.add_argument("--workers", type=int, default=None)
@@ -440,14 +440,12 @@ def _run_config_from(args: argparse.Namespace) -> RunConfig:
         params = ModelParams.coupled(n, lam)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    state = getattr(args, "state", None) or "pi"
+    state = args.state or "pi"
     compare = tuple(tok for tok in (getattr(args, "compare", None) or "").split(",") if tok)
     out_dir = Path(args.out if args.out is not None else os.environ.get(ENV_OUT_DIR, "."))
     return RunConfig(
         params=params,
         initial_state=state,
-        theta=args.theta if getattr(args, "theta", None) is not None else math.pi / 2.0,
-        phi=args.phi if getattr(args, "phi", None) is not None else math.pi,
         t_max=args.t_max if getattr(args, "t_max", None) is not None else 10.0,
         n_steps=args.steps if getattr(args, "steps", None) is not None else 200,
         out_dir=out_dir,

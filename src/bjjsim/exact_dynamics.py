@@ -14,15 +14,25 @@ import scipy.linalg
 
 from .spin_core import (
     CollectiveOperator,
+    CovarianceYZ,
     ModelParams,
     StateVector,
+    band_moments,
     build_spin_operators,
+    check_first_moments,
+    check_normalized,
     covariance_yz,
     expectation,
     m_values,
     raising_coefficients,
 )
 from .witnesses import WitnessRecord, make_record
+
+#: Doubles of propagated amplitudes (real and imaginary parts) that
+#: trajectory holds at once, 8 MiB; times go through in blocks of at most
+#: this size, one time at least.  The band reduction of a block takes a
+#: few times as much in temporaries.
+PROPAGATION_DOUBLES = 2**20
 
 
 @dataclass(frozen=True)
@@ -48,18 +58,35 @@ class Spectrum:
         return self.eigenvalues.size
 
 
+def hamiltonian_bands(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal chi*m^2 and off-diagonal -omega*f/2 of H in the Dicke basis."""
+    n = params.n_particles
+    m = m_values(n)
+    diag = params.chi * m * m
+    if params.omega == 0.0:
+        return diag, np.zeros(n)
+    return diag, -params.omega * raising_coefficients(n) / 2.0
+
+
 def hamiltonian(params: ModelParams) -> CollectiveOperator:
     """H = chi*Jz^2 - omega*Jx in units hbar = 1; real symmetric tridiagonal."""
-    n = params.n_particles
-    dim = n + 1
-    m = m_values(n)
+    diag, off = hamiltonian_bands(params)
+    dim = diag.size
     mat = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(mat, params.chi * m * m)
-    if params.omega != 0.0:
-        f = raising_coefficients(n)
-        mat[np.arange(1, dim), np.arange(dim - 1)] = -params.omega * f / 2.0
-        mat[np.arange(dim - 1), np.arange(1, dim)] = -params.omega * f / 2.0
-    return CollectiveOperator(n, mat, is_tridiagonal=True)
+    np.fill_diagonal(mat, diag)
+    mat[np.arange(1, dim), np.arange(dim - 1)] = off
+    mat[np.arange(dim - 1), np.arange(1, dim)] = off
+    return CollectiveOperator(params.n_particles, mat, is_tridiagonal=True)
+
+
+def _spectrum(n_particles: int, solver, *args) -> Spectrum:
+    try:
+        w, v = solver(*args)
+    except scipy.linalg.LinAlgError as exc:
+        raise RuntimeError(
+            f"eigendecomposition failed to converge for N={n_particles}: {exc}"
+        ) from exc
+    return Spectrum(n_particles, w, v)
 
 
 def eigendecompose(op: CollectiveOperator) -> Spectrum:
@@ -70,18 +97,19 @@ def eigendecompose(op: CollectiveOperator) -> Spectrum:
     Hermitian solve.
     """
     mat = op.matrix
-    try:
-        if op.is_tridiagonal and np.abs(mat.imag).max() == 0.0:
-            d = mat.diagonal().real.copy()
-            e = mat.diagonal(1).real.copy()
-            w, v = scipy.linalg.eigh_tridiagonal(d, e)
-        else:
-            w, v = scipy.linalg.eigh(mat)
-    except scipy.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"eigendecomposition failed to converge for N={op.n_particles}: {exc}"
-        ) from exc
-    return Spectrum(op.n_particles, w, v)
+    if op.is_tridiagonal and np.abs(mat.imag).max() == 0.0:
+        d = mat.diagonal().real.copy()
+        e = mat.diagonal(1).real.copy()
+        return _spectrum(op.n_particles, scipy.linalg.eigh_tridiagonal, d, e)
+    return _spectrum(op.n_particles, scipy.linalg.eigh, mat)
+
+
+def band_spectrum(params: ModelParams) -> Spectrum:
+    """Spectrum of H from its bands, without the dense matrix.
+
+    Bit for bit equal to eigendecompose(hamiltonian(params)).
+    """
+    return _spectrum(params.n_particles, scipy.linalg.eigh_tridiagonal, *hamiltonian_bands(params))
 
 
 def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
@@ -97,7 +125,13 @@ def trajectory(params: ModelParams, psi0: StateVector, times) -> list[WitnessRec
     """Witness records along an exactly propagated trajectory.
 
     The time grid is caller-supplied; spectral propagation is exact at any t,
-    so no internal stepping is needed.
+    so no internal stepping is needed.  One batched kernel: the spectrum
+    comes straight from the bands of H, c = V^T psi0 is formed once, every
+    block of at most PROPAGATION_DOUBLES doubles of amplitudes is propagated
+    as two real matrix products V Re(e^{-iEt} c) and V Im(e^{-iEt} c), and
+    the moments are O(N) band reductions per time (spin_core.band_moments).
+    Each time passes the checks of the scalar path (evolve, covariance_yz,
+    make_record) and fails with the same ValueError.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -107,15 +141,45 @@ def trajectory(params: ModelParams, psi0: StateVector, times) -> list[WitnessRec
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
 
-    spec = eigendecompose(hamiltonian(params))
-    jx_op = build_spin_operators(params.n_particles)[0]
+    n = params.n_particles
+    spec = band_spectrum(params)
+    if spec.dim != psi0.dim:
+        raise ValueError(f"dimension mismatch: spectrum dim={spec.dim}, state dim={psi0.dim}")
+    v, energies = spec.eigenvectors, spec.eigenvalues
+    c_re = psi0.amplitudes.real @ v
+    c_im = psi0.amplitudes.imag @ v
+    chunk = max(1, PROPAGATION_DOUBLES // (2 * spec.dim))
     records = []
-    for t in times:
-        psi_t = evolve(spec, psi0, float(t))
-        gamma = covariance_yz(psi_t)
-        jx = expectation(jx_op, psi_t)
-        records.append(make_record(float(t), jx, gamma, params.n_particles))
+    for start in range(0, times.size, chunk):
+        ts = times[start : start + chunk]
+        phase = np.outer(ts, energies)
+        cos, sin = np.cos(phase), np.sin(phase)
+        # rows are states: psi(t) = (e^{-iEt} * c) V^T
+        mom = band_moments(n, (cos * c_re + sin * c_im) @ v.T, (cos * c_im - sin * c_re) @ v.T)
+        for t, norm, jx, jy, jz, gzz, gyy, gyz in zip(ts.tolist(), *(x.tolist() for x in mom)):
+            check_normalized(norm)
+            check_first_moments(jy, jz, n)
+            gamma = CovarianceYZ(gzz=gzz, gyy=gyy, gyz=gyz)
+            records.append(make_record(t, jx, gamma, n))
     return records
+
+
+def witness_of_time(params: ModelParams, psi0: StateVector):
+    """Callable t -> WitnessRecord by scalar propagation of one time.
+
+    Diagonalizes once from the bands of H and reuses the spectrum; each
+    call runs evolve, covariance_yz and expectation on dense operators.
+    The minimum search and the short-time fit sample through it.
+    """
+    spec = band_spectrum(params)
+    jx_op = build_spin_operators(params.n_particles)[0]
+
+    def record(t: float) -> WitnessRecord:
+        psi_t = evolve(spec, psi0, t)
+        gamma = covariance_yz(psi_t)
+        return make_record(t, expectation(jx_op, psi_t), gamma, params.n_particles)
+
+    return record
 
 
 def zeta2_of_time(params: ModelParams, psi0: StateVector):
@@ -123,13 +187,9 @@ def zeta2_of_time(params: ModelParams, psi0: StateVector):
 
     Used by minimum searches; diagonalizes once and reuses the spectrum.
     """
-    spec = eigendecompose(hamiltonian(params))
-    jx_op = build_spin_operators(params.n_particles)[0]
+    record = witness_of_time(params, psi0)
 
     def zeta2(t: float) -> float:
-        psi_t = evolve(spec, psi0, t)
-        gamma = covariance_yz(psi_t)
-        rec = make_record(t, expectation(jx_op, psi_t), gamma, params.n_particles)
-        return rec.zeta2_opt
+        return record(t).zeta2_opt
 
     return zeta2

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -88,6 +89,22 @@ class ModelParams:
         return cls(n_particles=n_particles, chi=chi, omega=0.0)
 
 
+def check_normalized(norm) -> None:
+    """Raise unless |norm - 1| <= NORM_TOL."""
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state is not normalized: |psi| = {float(norm)!r}")
+
+
+def check_first_moments(jy_mean, jz_mean, n_particles: int) -> None:
+    """Raise unless <Jy> and <Jz> vanish to FIRST_MOMENT_TOL * N (see covariance_yz)."""
+    limit = FIRST_MOMENT_TOL * n_particles
+    if abs(jy_mean) >= limit or abs(jz_mean) >= limit:
+        raise ValueError(
+            "state outside the supported symmetry class: "
+            f"<Jy> = {jy_mean:.3e}, <Jz> = {jz_mean:.3e} must vanish"
+        )
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state over the Dicke basis."""
@@ -100,9 +117,7 @@ class StateVector:
         amp = np.array(self.amplitudes, dtype=complex)
         if amp.shape != (n + 1,):
             raise ValueError(f"amplitudes must have shape ({n + 1},), got {amp.shape}")
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |psi| = {norm!r}")
+        check_normalized(np.linalg.norm(amp))
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -236,19 +251,57 @@ def covariance_yz(psi: StateVector) -> CovarianceYZ:
     jy_psi = jy_op.matrix @ amp
     jz_psi = jz_op.matrix @ amp
 
-    jy_mean = np.vdot(amp, jy_psi).real
-    jz_mean = np.vdot(amp, jz_psi).real
-    if abs(jy_mean) >= FIRST_MOMENT_TOL * n or abs(jz_mean) >= FIRST_MOMENT_TOL * n:
-        raise ValueError(
-            "state outside the supported symmetry class: "
-            f"<Jy> = {jy_mean:.3e}, <Jz> = {jz_mean:.3e} must vanish"
-        )
+    check_first_moments(np.vdot(amp, jy_psi).real, np.vdot(amp, jz_psi).real, n)
 
     gzz = 4.0 * np.vdot(jz_psi, jz_psi).real / n
     gyy = 4.0 * np.vdot(jy_psi, jy_psi).real / n
     # <{Jy,Jz}> = 2 Re <Jy psi|Jz psi> for Hermitian Jy, Jz
     gyz = 4.0 * np.vdot(jy_psi, jz_psi).real / n
     return CovarianceYZ(gzz=gzz, gyy=gyy, gyz=gyz)
+
+
+class BandMoments(NamedTuple):
+    """Moments of a stack of states, one entry per state (see band_moments)."""
+
+    norm: np.ndarray
+    jx: np.ndarray
+    jy: np.ndarray
+    jz: np.ndarray
+    gzz: np.ndarray
+    gyy: np.ndarray
+    gyz: np.ndarray
+
+
+def band_moments(n_particles: int, re: np.ndarray, im: np.ndarray) -> BandMoments:
+    """Norm, <Jx>, <Jy>, <Jz> and 2<{Ji, Jj}>/N in the y-z plane of each state.
+
+    The states are the rows re + i*im (a single state may be 1-D).  Jz is
+    the diagonal m and Jx, Jy couple neighbouring m through the ladder
+    factors, so every moment is O(N) band arithmetic per state, with no
+    operator matrix.  The values are those of covariance_yz and expectation
+    up to summation order; no first-moment check is applied here.
+    """
+    n = _validate_even_n(n_particles)
+    m = m_values(n)
+    f = raising_coefficients(n)
+    prob = re * re + im * im
+    # 2i Jy psi = (J+ - J-) psi, with (J+ psi)_{k+1} = f_k psi_k and (J- psi)_k = f_k psi_{k+1}
+    d_re, d_im = np.zeros_like(re), np.zeros_like(im)
+    d_re[..., 1:] = f * re[..., :-1]
+    d_re[..., :-1] -= f * re[..., 1:]
+    d_im[..., 1:] = f * im[..., :-1]
+    d_im[..., :-1] -= f * im[..., 1:]
+    jy_density = re * d_im - im * d_re  # 2 Re(conj(psi) * Jy psi), element by element
+    return BandMoments(
+        norm=np.sqrt(prob.sum(axis=-1)),
+        # <Jx> = sum_k f_k Re(conj(psi_k) psi_{k+1})
+        jx=(f * (re[..., :-1] * re[..., 1:] + im[..., :-1] * im[..., 1:])).sum(axis=-1),
+        jy=0.5 * jy_density.sum(axis=-1),
+        jz=(m * prob).sum(axis=-1),
+        gzz=4.0 * (m * m * prob).sum(axis=-1) / n,
+        gyy=(d_re * d_re + d_im * d_im).sum(axis=-1) / n,
+        gyz=2.0 * (m * jy_density).sum(axis=-1) / n,
+    )
 
 
 def lambda_pm(gamma: CovarianceYZ) -> tuple[float, float]:

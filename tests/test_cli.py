@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 import bjjsim.cli
+import bjjsim.exact_dynamics
+import bjjsim.spin_core
+import bjjsim.wigner
 from bjjsim.cli import (
+    MAX_N,
     SWEEP_COLUMNS,
     ConfigError,
     RunConfig,
@@ -172,6 +176,44 @@ class TestWigner:
         assert contents[0] == contents[1]
 
 
+class TestDeterminism:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_evolve_and_oat_compare_repeat_byte_identical(self, tmp_path, fmt):
+        contents = []
+        for run in ("r1", "r2"):
+            cfg = small_cfg(tmp_path / run, params=ModelParams.coupled(60, 2.0), t_max=3.0,
+                            fmt=fmt, compare=("analytic", "oat"))
+            contents.append([p.read_bytes() for p in run_evolve(cfg) + run_oat_compare(cfg)])
+        assert len(contents[0]) == 2
+        assert contents[0] == contents[1]
+
+
+class TestParticleLimit:
+    @pytest.fixture
+    def no_dense_operators(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense operator was built")
+
+        for module in (bjjsim.spin_core, bjjsim.exact_dynamics, bjjsim.wigner, bjjsim.cli):
+            for name in ("build_spin_operators", "hamiltonian", "band_spectrum"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+
+    def test_limit_admits_n_4000(self, tmp_path, no_dense_operators):
+        assert MAX_N >= 4000
+        small_cfg(tmp_path, params=ModelParams.coupled(MAX_N, 2.0))
+
+    def test_rejected_before_allocating(self, tmp_path, no_dense_operators):
+        with pytest.raises(ConfigError, match="exceeds"):
+            small_cfg(tmp_path, params=ModelParams.coupled(MAX_N + 2, 2.0))
+
+    @pytest.mark.parametrize("command", ["evolve", "sweep", "wigner", "oat-compare", "fit"])
+    def test_cli_exit_code(self, tmp_path, capsys, no_dense_operators, command):
+        assert main([command, "--n", str(MAX_N + 2), "--out", str(tmp_path)]) == 1
+        assert "exceeds" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 class TestOatCompare:
     def test_difference_column_positive_in_window(self, tmp_path):
         cfg = small_cfg(tmp_path, params=ModelParams.coupled(60, 2.0), t_max=0.8, n_steps=30)
@@ -227,6 +269,19 @@ class TestMain:
         assert main(["fit", "--config", str(conf), "--out", str(tmp_path)]) == 1
         assert "unknown config key" in capsys.readouterr().err
         assert not (tmp_path / "fit.csv").exists()
+
+    def test_custom_state_rejected(self, tmp_path, capsys):
+        assert main(["evolve", "--state", "custom", "--out", str(tmp_path)]) == 1
+        assert main(["evolve", "--theta", "1.0", "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "evolve.csv").exists()
+
+    @pytest.mark.parametrize("line", ["theta = 1.0", "phi = 0.5"])
+    def test_custom_angle_keys_rejected(self, tmp_path, capsys, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"n = 60\n{line}\n")
+        assert main(["evolve", "--config", str(conf), "--out", str(tmp_path)]) == 1
+        assert "unknown config key" in capsys.readouterr().err
+        assert not (tmp_path / "evolve.csv").exists()
 
     def test_evolve_deterministic(self, tmp_path):
         args = ["evolve", "--n", "60", "--lambda", "0.5", "--t-max", "2.0",

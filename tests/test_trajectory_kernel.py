@@ -1,0 +1,164 @@
+"""The batched trajectory kernel against the scalar per-time path.
+
+`trajectory` propagates every time with two real matrix products and
+reduces the moments with band arithmetic; `witness_of_time` runs evolve,
+covariance_yz and expectation on dense operators, one time per call.  The
+two sum in different orders, so values agree to a tolerance fixed from the
+dtype: 1e-12 relative with a floor of 1 (natural units: hbar, shot noise).
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import bjjsim.exact_dynamics as exact_dynamics
+from bjjsim.exact_dynamics import (
+    band_spectrum,
+    eigendecompose,
+    hamiltonian,
+    trajectory,
+    witness_of_time,
+)
+from bjjsim.spin_core import (
+    ModelParams,
+    StateVector,
+    band_moments,
+    build_spin_operators,
+    coherent_state,
+    covariance_yz,
+    expectation,
+)
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+even_n = st.integers(1, 60).map(lambda k: 2 * k)
+# the analytic pi branches exclude |lam - 1| < 0.2; keep the same range
+lams = st.one_of(st.floats(0.2, 0.8, exclude_min=True), st.floats(1.2, 3.0, exclude_max=True))
+phis = st.sampled_from((math.pi, 0.0))
+time_grids = st.lists(st.floats(0.0, 12.0), min_size=1, max_size=12).map(sorted)
+
+
+def fields(rec):
+    return (rec.t, rec.jx_mean, rec.gamma.gzz, rec.gamma.gyy, rec.gamma.gyz,
+            rec.lambda_plus, rec.lambda_minus, rec.xi2_opt, rec.zeta2_opt)
+
+
+def assert_records_close(got, want, rtol):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        a, b = np.array(fields(g)), np.array(fields(w))
+        assert np.all(np.abs(a - b) <= rtol * np.maximum(1.0, np.abs(b))), (a, b)
+
+
+@PROPERTY
+@given(n=even_n, lam=lams, phi=phis, times=time_grids)
+def test_records_match_scalar_path(n, lam, phi, times):
+    params = ModelParams.coupled(n, lam)
+    psi0 = coherent_state(n, math.pi / 2, phi)
+    record = witness_of_time(params, psi0)
+    assert_records_close(trajectory(params, psi0, times), [record(float(t)) for t in times], 1e-12)
+
+
+@PROPERTY
+@given(n=even_n, lam=lams, phi=phis, times=time_grids)
+def test_uncertainty_bound(n, lam, phi, times):
+    # Schroedinger-Robertson in the y-z plane: det gamma >= (2 <Jx> / N)^2,
+    # with equality for the coherent state at t = 0
+    for rec in trajectory(ModelParams.coupled(n, lam), coherent_state(n, math.pi / 2, phi), times):
+        g = rec.gamma
+        det = g.gzz * g.gyy - g.gyz**2
+        slack = 1e-12 * (g.gzz * g.gyy + g.gyz**2)
+        assert det >= (2.0 * rec.jx_mean / n) ** 2 - slack
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, 7])
+def test_chunks_match_one_block(monkeypatch, per_chunk):
+    n = 80
+    params = ModelParams.coupled(n, 2.0)
+    psi0 = coherent_state(n, math.pi / 2, math.pi)
+    times = np.linspace(0.0, 6.0, 25)
+    whole = trajectory(params, psi0, times)
+    monkeypatch.setattr(exact_dynamics, "PROPAGATION_DOUBLES", 2 * (n + 1) * per_chunk)
+    assert_records_close(trajectory(params, psi0, times), whole, 1e-13)
+
+
+@PROPERTY
+@given(n=even_n, lam=st.one_of(st.just(0.0), st.floats(0.05, 5.0)))
+def test_band_spectrum_is_bitwise_dense_spectrum(n, lam):
+    params = ModelParams.twisting(n) if lam == 0.0 else ModelParams.coupled(n, lam)
+    dense = eigendecompose(hamiltonian(params))
+    banded = band_spectrum(params)
+    assert np.array_equal(banded.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(banded.eigenvectors, dense.eigenvectors)
+
+
+@PROPERTY
+@given(n=even_n, seed=st.integers(0, 2**32 - 1))
+def test_band_moments_match_dense_operators(n, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    psi = StateVector(n, amp / np.linalg.norm(amp))
+    jx, jy, jz = build_spin_operators(n)
+    mom = band_moments(n, psi.amplitudes.real, psi.amplitudes.imag)
+    # raw second moments, as covariance_yz forms them but without its first-moment check
+    jy_psi, jz_psi = jy.matrix @ psi.amplitudes, jz.matrix @ psi.amplitudes
+    want = {
+        "norm": 1.0,
+        "jx": expectation(jx, psi),
+        "jy": expectation(jy, psi),
+        "jz": expectation(jz, psi),
+        "gzz": 4.0 * np.vdot(jz_psi, jz_psi).real / n,
+        "gyy": 4.0 * np.vdot(jy_psi, jy_psi).real / n,
+        "gyz": 4.0 * np.vdot(jy_psi, jz_psi).real / n,
+    }
+    for name, value in want.items():
+        assert getattr(mom, name) == pytest.approx(value, rel=1e-12, abs=1e-12), name
+
+
+@pytest.mark.parametrize("theta, phi", [(1.0, math.pi), (math.pi / 2, 0.4), (2.5, -1.0)])
+def test_off_equatorial_state_raises_like_scalar_path(theta, phi):
+    n = 40
+    psi0 = coherent_state(n, theta, phi)
+    with pytest.raises(ValueError, match="outside the supported symmetry class") as scalar:
+        covariance_yz(psi0)
+    with pytest.raises(ValueError, match="outside the supported symmetry class") as kernel:
+        trajectory(ModelParams.coupled(n, 2.0), psi0, [0.0, 0.5])
+    # same text; the printed moments agree up to summation order
+    number = r"-?\d\.\d{3}e[+-]\d+"
+    assert re.sub(number, "#", str(kernel.value)) == re.sub(number, "#", str(scalar.value))
+    got = [float(x) for x in re.findall(number, str(kernel.value))]
+    want = [float(x) for x in re.findall(number, str(scalar.value))]
+    assert got == pytest.approx(want, rel=1e-2, abs=1e-12 * n)
+
+
+def test_dimension_mismatch():
+    with pytest.raises(ValueError, match="mismatch"):
+        trajectory(ModelParams.coupled(10, 1.5), coherent_state(12, math.pi / 2, math.pi), [0.0])
+
+
+@pytest.mark.parametrize("spoil, message", [
+    ({"norm": 1.0 + 1e-9}, "state is not normalized"),
+    ({"jz": 1.0}, "outside the supported symmetry class"),
+    ({"gyy": -1.0}, "diagonal covariance entries must be nonnegative"),
+    ({"jx": 0.0}, "fully depolarized"),
+    ({"gzz": 0.0, "gyy": 0.0, "gyz": 0.0}, "lambda_plus must be positive"),
+])
+def test_every_check_applies_per_time(monkeypatch, spoil, message):
+    # spoil the second time only: the checks run on every time, not just the first
+    reduce = exact_dynamics.band_moments
+
+    def spoiled(*args):
+        mom = reduce(*args)
+        changed = {}
+        for name, value in spoil.items():
+            column = getattr(mom, name).copy()
+            column[1] = value
+            changed[name] = column
+        return mom._replace(**changed)
+
+    monkeypatch.setattr(exact_dynamics, "band_moments", spoiled)
+    with pytest.raises(ValueError, match=message):
+        trajectory(ModelParams.coupled(20, 2.0), coherent_state(20, math.pi / 2, math.pi), [0.0, 0.5, 1.0])
