@@ -37,10 +37,12 @@ from .witnesses import (
 )
 
 ENV_OUT_DIR = "BJJ_OUT_DIR"
-#: Largest particle number accepted.  The operator tables that the scalar
-#: per-time path uses hold dense complex (N+1) x (N+1) matrices, 16 (N+1)^2
-#: bytes each, and every path holds the real eigenvector matrix, 8 (N+1)^2
-#: bytes: Jx, Jy, Jz and V together take about 0.9 GB at N = 4000.
+#: Largest particle number accepted.  Every path holds the real eigenvector
+#: matrix V, 8 (N+1)^2 bytes.  The samples of the short-time fit still run
+#: on the dense scalar path (witness_of_time), whose operator tables Jx, Jy,
+#: Jz are complex (N+1) x (N+1) matrices, 16 (N+1)^2 bytes each; the minimum
+#: search and trajectories run on the band kernel and need none of them.
+#: Jx, Jy, Jz and V together take about 0.9 GB at N = 4000.
 MAX_N = 4000
 
 EVOLVE_COLUMNS = (
@@ -93,8 +95,8 @@ class RunConfig:
             raise ConfigError(f"N = {self.params.n_particles} exceeds the limit N <= {MAX_N}")
         if self.initial_state not in ("pi", "zero"):
             raise ConfigError(f"unknown initial state {self.initial_state!r}")
-        if self.t_max <= 0:
-            raise ConfigError(f"t_max must be positive, got {self.t_max}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
         if self.n_steps < 2:
             raise ConfigError(f"n_steps must be at least 2, got {self.n_steps}")
         if self.fmt not in ("csv", "json"):
@@ -202,9 +204,10 @@ def _fit_in_omega_time(params: ModelParams, psi0: StateVector):
     """Protocol fit of the exact trajectory, reported in powers of omega*t."""
     n, chi = params.n_particles, params.chi
     times = np.concatenate([[0.0], FIT_WINDOW * np.arange(1, FIT_SAMPLES + 1) / FIT_SAMPLES / (n * chi)])
-    # Scalar per-time samples, not the batched trajectory kernel: the fit
-    # amplifies sample roundoff to about 1e-8 relative in p4, so the samples
-    # keep the arithmetic that the stored sweep and fit outputs came from.
+    # Dense scalar samples, not the band kernel that the minimum search and
+    # trajectories use: the fit amplifies sample roundoff to about 1e-8
+    # relative in p4, so the samples keep the arithmetic that the stored
+    # sweep and fit outputs came from.
     record = witness_of_time(params, psi0)
     fit = fit_taylor_coeffs([record(float(t)) for t in times], n, chi)
     return fit, fit.coeffs.in_omega_time(params.lam) if params.omega > 0 else None
@@ -268,8 +271,8 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
 def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = None) -> list[Path]:
     """Sphere grids at the snapshot times, plus the separatrix when it exists."""
     snapshot_times = [float(t) for t in snapshot_times]
-    if not snapshot_times or any(t < 0 for t in snapshot_times):
-        raise ConfigError("snapshot times must be nonnegative and nonempty")
+    if not snapshot_times or not all(math.isfinite(t) and t >= 0 for t in snapshot_times):
+        raise ConfigError("snapshot times must be finite, nonnegative and nonempty")
     p = cfg.params
     lam = p.lam
     has_separatrix = lam is not None and lam > 1.0

@@ -121,26 +121,17 @@ def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
     return StateVector(psi0.n_particles, amp)
 
 
-def trajectory(params: ModelParams, psi0: StateVector, times) -> list[WitnessRecord]:
-    """Witness records along an exactly propagated trajectory.
+def _witness_kernel(params: ModelParams, psi0: StateVector):
+    """Propagation kernel of one (params, psi0): ascending times -> records.
 
-    The time grid is caller-supplied; spectral propagation is exact at any t,
-    so no internal stepping is needed.  One batched kernel: the spectrum
-    comes straight from the bands of H, c = V^T psi0 is formed once, every
-    block of at most PROPAGATION_DOUBLES doubles of amplitudes is propagated
-    as two real matrix products V Re(e^{-iEt} c) and V Im(e^{-iEt} c), and
-    the moments are O(N) band reductions per time (spin_core.band_moments).
-    Each time passes the checks of the scalar path (evolve, covariance_yz,
-    make_record) and fails with the same ValueError.
+    The spectrum comes straight from the bands of H and c = V^T psi0 is
+    formed once.  Every block of at most PROPAGATION_DOUBLES doubles of
+    amplitudes is propagated as two real matrix products V Re(e^{-iEt} c)
+    and V Im(e^{-iEt} c), and the moments are O(N) band reductions per time
+    (spin_core.band_moments).  Each time passes the checks of the scalar
+    path (evolve, covariance_yz, make_record) and fails with the same
+    ValueError.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a nonempty 1-D sequence")
-    if np.any(times < 0):
-        raise ValueError("times must be nonnegative")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be ascending")
-
     n = params.n_particles
     spec = band_spectrum(params)
     if spec.dim != psi0.dim:
@@ -149,27 +140,53 @@ def trajectory(params: ModelParams, psi0: StateVector, times) -> list[WitnessRec
     c_re = psi0.amplitudes.real @ v
     c_im = psi0.amplitudes.imag @ v
     chunk = max(1, PROPAGATION_DOUBLES // (2 * spec.dim))
-    records = []
-    for start in range(0, times.size, chunk):
-        ts = times[start : start + chunk]
-        phase = np.outer(ts, energies)
-        cos, sin = np.cos(phase), np.sin(phase)
-        # rows are states: psi(t) = (e^{-iEt} * c) V^T
-        mom = band_moments(n, (cos * c_re + sin * c_im) @ v.T, (cos * c_im - sin * c_re) @ v.T)
-        for t, norm, jx, jy, jz, gzz, gyy, gyz in zip(ts.tolist(), *(x.tolist() for x in mom)):
-            check_normalized(norm)
-            check_first_moments(jy, jz, n)
-            gamma = CovarianceYZ(gzz=gzz, gyy=gyy, gyz=gyz)
-            records.append(make_record(t, jx, gamma, n))
+
+    def records(times: np.ndarray) -> list[WitnessRecord]:
+        out = []
+        for start in range(0, times.size, chunk):
+            ts = times[start : start + chunk]
+            phase = np.outer(ts, energies)
+            cos, sin = np.cos(phase), np.sin(phase)
+            # rows are states: psi(t) = (e^{-iEt} * c) V^T
+            mom = band_moments(n, (cos * c_re + sin * c_im) @ v.T, (cos * c_im - sin * c_re) @ v.T)
+            for t, norm, jx, jy, jz, gzz, gyy, gyz in zip(ts.tolist(), *(x.tolist() for x in mom)):
+                check_normalized(norm)
+                check_first_moments(jy, jz, n)
+                gamma = CovarianceYZ(gzz=gzz, gyy=gyy, gyz=gyz)
+                out.append(make_record(t, jx, gamma, n))
+        return out
+
     return records
 
 
+def trajectory(params: ModelParams, psi0: StateVector, times) -> list[WitnessRecord]:
+    """Witness records along an exactly propagated trajectory.
+
+    The time grid is caller-supplied; spectral propagation is exact at any t,
+    so no internal stepping is needed.  All times go through one batched
+    propagation kernel (see _witness_kernel).
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a nonempty 1-D sequence")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if np.any(times < 0):
+        raise ValueError("times must be nonnegative")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be ascending")
+    return _witness_kernel(params, psi0)(times)
+
+
 def witness_of_time(params: ModelParams, psi0: StateVector):
-    """Callable t -> WitnessRecord by scalar propagation of one time.
+    """Callable t -> WitnessRecord by dense scalar propagation of one time.
 
     Diagonalizes once from the bands of H and reuses the spectrum; each
     call runs evolve, covariance_yz and expectation on dense operators.
-    The minimum search and the short-time fit sample through it.
+    Only the samples of the short-time fit use it: the fit amplifies sample
+    roundoff to about 1e-8 relative in p4, so they keep the arithmetic that
+    the stored sweep and fit outputs came from.  It is also the reference
+    that the kernel is tested against.
     """
     spec = band_spectrum(params)
     jx_op = build_spin_operators(params.n_particles)[0]
@@ -185,11 +202,13 @@ def witness_of_time(params: ModelParams, psi0: StateVector):
 def zeta2_of_time(params: ModelParams, psi0: StateVector):
     """Callable t -> optimized QFI witness along the exact trajectory.
 
-    Used by minimum searches; diagonalizes once and reuses the spectrum.
+    Used by minimum searches, one time per call; the propagation kernel is
+    built once (one diagonalization, c = V^T psi0 formed once) and each call
+    is one single-time pass through it, with the kernel's per-time checks.
     """
-    record = witness_of_time(params, psi0)
+    kernel = _witness_kernel(params, psi0)
 
     def zeta2(t: float) -> float:
-        return record(t).zeta2_opt
+        return kernel(np.array([t], dtype=float))[0].zeta2_opt
 
     return zeta2

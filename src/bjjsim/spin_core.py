@@ -90,15 +90,18 @@ class ModelParams:
 
 
 def check_normalized(norm) -> None:
-    """Raise unless |norm - 1| <= NORM_TOL."""
-    if abs(norm - 1.0) > NORM_TOL:
+    """Raise unless |norm - 1| <= NORM_TOL; a NaN norm fails."""
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise ValueError(f"state is not normalized: |psi| = {float(norm)!r}")
 
 
 def check_first_moments(jy_mean, jz_mean, n_particles: int) -> None:
-    """Raise unless <Jy> and <Jz> vanish to FIRST_MOMENT_TOL * N (see covariance_yz)."""
+    """Raise unless <Jy> and <Jz> vanish to FIRST_MOMENT_TOL * N (see covariance_yz).
+
+    A NaN moment fails.
+    """
     limit = FIRST_MOMENT_TOL * n_particles
-    if abs(jy_mean) >= limit or abs(jz_mean) >= limit:
+    if not (abs(jy_mean) < limit and abs(jz_mean) < limit):
         raise ValueError(
             "state outside the supported symmetry class: "
             f"<Jy> = {jy_mean:.3e}, <Jz> = {jz_mean:.3e} must vanish"
@@ -260,6 +263,15 @@ def covariance_yz(psi: StateVector) -> CovarianceYZ:
     return CovarianceYZ(gzz=gzz, gyy=gyy, gyz=gyz)
 
 
+@lru_cache(maxsize=16)
+def _band_factors(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (m_values, raising_coefficients) of N, shared by band_moments calls."""
+    m, f = m_values(n_particles), raising_coefficients(n_particles)
+    m.setflags(write=False)
+    f.setflags(write=False)
+    return m, f
+
+
 class BandMoments(NamedTuple):
     """Moments of a stack of states, one entry per state (see band_moments)."""
 
@@ -282,8 +294,7 @@ def band_moments(n_particles: int, re: np.ndarray, im: np.ndarray) -> BandMoment
     up to summation order; no first-moment check is applied here.
     """
     n = _validate_even_n(n_particles)
-    m = m_values(n)
-    f = raising_coefficients(n)
+    m, f = _band_factors(n)
     prob = re * re + im * im
     # 2i Jy psi = (J+ - J-) psi, with (J+ psi)_{k+1} = f_k psi_k and (J- psi)_k = f_k psi_{k+1}
     d_re, d_im = np.zeros_like(re), np.zeros_like(im)

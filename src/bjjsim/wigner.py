@@ -242,17 +242,30 @@ def wigner(psi: StateVector, n_theta: int | None = None, n_phi: int | None = Non
 
 
 def wigner_at(psi: StateVector, theta, phi) -> np.ndarray:
-    """Integral-normalized Wigner values at arbitrary sphere points."""
+    """Integral-normalized Wigner values at arbitrary sphere points.
+
+    Points that share theta share one theta profile, so the Legendre tables
+    cost one column per distinct theta; the e^{i q phi} block is formed for
+    at most TABLE_DOUBLES // (2(2N+1)) points at a time.
+    """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if theta.shape != phi.shape:
         raise ValueError("theta and phi must have matching shapes")
     n = psi.n_particles
     orders = _orders(n)
+    thetas, which = np.unique(theta.ravel(), return_inverse=True)
+    order = np.argsort(which, kind="stable")  # points grouped by theta, ascending
+    grouped = which[order]
     flat_phi = phi.ravel()
+    step = max(1, TABLE_DOUBLES // (2 * orders.size))
     w = np.empty(theta.size)
-    for sl, prof in _theta_profiles(_multipole_array(psi), theta.ravel()):
-        w[sl] = np.einsum("iq,iq->i", prof, np.exp(1j * np.outer(flat_phi[sl], orders))).real
+    for sl, prof in _theta_profiles(_multipole_array(psi), thetas):
+        lo, hi = np.searchsorted(grouped, [sl.start, sl.stop])
+        for start in range(lo, hi, step):
+            idx = order[start : min(start + step, hi)]
+            phase = np.exp(1j * np.outer(flat_phi[idx], orders))
+            w[idx] = np.einsum("iq,iq->i", prof[which[idx] - sl.start], phase).real
     return w.reshape(theta.shape) * np.sqrt((n + 1) / (4.0 * np.pi))
 
 

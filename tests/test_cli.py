@@ -239,6 +239,22 @@ class TestMain:
         assert rc == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_t_max_is_config_error(self, tmp_path, capsys, value):
+        rc = main(["evolve", "--n", "20", "--lambda", "0.5", "--t-max", value,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "t_max must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "evolve.csv").exists()
+
+    @pytest.mark.parametrize("snapshots", ["nan", "0.5,inf"])
+    def test_non_finite_snapshot_is_config_error(self, tmp_path, capsys, snapshots):
+        rc = main(["wigner", "--n", "10", "--lambda", "2.0", "--snapshots", snapshots,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "snapshot times must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_is_config_error(self, tmp_path):
         assert main(["evolve", "--frobnicate"]) == 1
 

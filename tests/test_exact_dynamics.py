@@ -148,6 +148,9 @@ class TestTrajectory:
             trajectory(params, psi0, [0.2, 0.1])
         with pytest.raises(ValueError):
             trajectory(params, psi0, [-0.1, 0.2])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                trajectory(params, psi0, [0.0, bad])
 
     def test_zeta2_of_time_matches_trajectory(self):
         params = ModelParams.coupled(60, 1.5)

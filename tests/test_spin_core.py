@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from bjjsim.spin_core import (
+    NORM_TOL,
     CollectiveOperator,
     CovarianceYZ,
     ModelParams,
     StateVector,
     build_spin_operators,
+    check_first_moments,
+    check_normalized,
     coherent_state,
     covariance_yz,
     expectation,
@@ -157,6 +160,22 @@ class TestExpectation:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             StateVector(2, np.array([1.0, 1.0, 0.0]))
+
+    def test_nan_state_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            StateVector(2, np.array([1.0, np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("moments", [(np.nan, 0.0), (0.0, np.nan), (np.nan, np.nan)])
+def test_first_moment_check_rejects_nan(moments):
+    with pytest.raises(ValueError, match="symmetry"):
+        check_first_moments(*moments, 10)
+
+
+def test_norm_check_rejects_nan():
+    with pytest.raises(ValueError, match="normalized"):
+        check_normalized(np.nan)
+    check_normalized(1.0 + 0.5 * NORM_TOL)
 
 
 class TestCovariance:

@@ -1,10 +1,11 @@
-"""The batched trajectory kernel against the scalar per-time path.
+"""The band propagation kernel against the dense scalar per-time path.
 
-`trajectory` propagates every time with two real matrix products and
-reduces the moments with band arithmetic; `witness_of_time` runs evolve,
-covariance_yz and expectation on dense operators, one time per call.  The
-two sum in different orders, so values agree to a tolerance fixed from the
-dtype: 1e-12 relative with a floor of 1 (natural units: hbar, shot noise).
+`trajectory` and the callable of `zeta2_of_time` propagate with real
+matrix products and reduce the moments with band arithmetic, through one
+kernel; `witness_of_time` runs evolve, covariance_yz and expectation on
+dense operators, one time per call.  The two sum in different orders, so
+values agree to a tolerance fixed from the dtype: 1e-12 relative with a
+floor of 1 (natural units: hbar, shot noise).
 """
 
 import math
@@ -15,12 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bjjsim.exact_dynamics as exact_dynamics
+from bjjsim.cli import RunConfig, dimensionless_frequency
 from bjjsim.exact_dynamics import (
     band_spectrum,
     eigendecompose,
     hamiltonian,
     trajectory,
     witness_of_time,
+    zeta2_of_time,
 )
 from bjjsim.spin_core import (
     ModelParams,
@@ -31,6 +34,7 @@ from bjjsim.spin_core import (
     covariance_yz,
     expectation,
 )
+from bjjsim.witnesses import minimize_zeta2
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -60,6 +64,40 @@ def test_records_match_scalar_path(n, lam, phi, times):
     psi0 = coherent_state(n, math.pi / 2, phi)
     record = witness_of_time(params, psi0)
     assert_records_close(trajectory(params, psi0, times), [record(float(t)) for t in times], 1e-12)
+
+
+@PROPERTY
+@given(n=even_n, lam=lams, phi=phis, t=st.floats(0.0, 12.0))
+def test_single_time_path_matches_scalar_path(n, lam, phi, t):
+    params = ModelParams.coupled(n, lam)
+    psi0 = coherent_state(n, math.pi / 2, phi)
+    want = witness_of_time(params, psi0)(t).zeta2_opt
+    assert abs(zeta2_of_time(params, psi0)(t) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("state", ["pi", "zero"])
+@pytest.mark.parametrize("lam", [1.5, 2.0])
+def test_minimum_search_matches_scalar_path(lam, state):
+    # the sweep's search window and tolerance, over the kernel and the dense callable
+    cfg = RunConfig(params=ModelParams.coupled(200, lam), initial_state=state)
+    psi0 = coherent_state(200, math.pi / 2, math.pi if state == "pi" else 0.0)
+    freq = dimensionless_frequency(cfg)
+    t_hi = (1.5 if state == "pi" else 1.25 * math.pi) / freq
+    tol = 1e-4 / freq
+    record = witness_of_time(cfg.params, psi0)
+    t_dense, z_dense = minimize_zeta2(lambda t: record(t).zeta2_opt, t_hi, tol=tol)
+    t_kernel, z_kernel = minimize_zeta2(zeta2_of_time(cfg.params, psi0), t_hi, tol=tol)
+    assert abs(t_kernel - t_dense) <= tol
+    assert z_kernel == pytest.approx(z_dense, rel=1e-12)
+
+
+@PROPERTY
+@given(n=even_n, lam=lams, phi=phis, times=time_grids)
+def test_witness_hierarchy(n, lam, phi, times):
+    # criterion 7 at random points: zeta^2 <= xi^2 and the Heisenberg floor 1/N
+    for rec in trajectory(ModelParams.coupled(n, lam), coherent_state(n, math.pi / 2, phi), times):
+        assert rec.zeta2_opt <= rec.xi2_opt + 1e-10
+        assert rec.zeta2_opt >= 1.0 / n - 1e-12
 
 
 @PROPERTY
@@ -126,12 +164,15 @@ def test_off_equatorial_state_raises_like_scalar_path(theta, phi):
         covariance_yz(psi0)
     with pytest.raises(ValueError, match="outside the supported symmetry class") as kernel:
         trajectory(ModelParams.coupled(n, 2.0), psi0, [0.0, 0.5])
+    with pytest.raises(ValueError, match="outside the supported symmetry class") as single:
+        zeta2_of_time(ModelParams.coupled(n, 2.0), psi0)(0.0)
     # same text; the printed moments agree up to summation order
     number = r"-?\d\.\d{3}e[+-]\d+"
-    assert re.sub(number, "#", str(kernel.value)) == re.sub(number, "#", str(scalar.value))
-    got = [float(x) for x in re.findall(number, str(kernel.value))]
     want = [float(x) for x in re.findall(number, str(scalar.value))]
-    assert got == pytest.approx(want, rel=1e-2, abs=1e-12 * n)
+    for err in (kernel.value, single.value):
+        assert re.sub(number, "#", str(err)) == re.sub(number, "#", str(scalar.value))
+        got = [float(x) for x in re.findall(number, str(err))]
+        assert got == pytest.approx(want, rel=1e-2, abs=1e-12 * n)
 
 
 def test_dimension_mismatch():
@@ -139,15 +180,18 @@ def test_dimension_mismatch():
         trajectory(ModelParams.coupled(10, 1.5), coherent_state(12, math.pi / 2, math.pi), [0.0])
 
 
-@pytest.mark.parametrize("spoil, message", [
+SPOILS = [
     ({"norm": 1.0 + 1e-9}, "state is not normalized"),
     ({"jz": 1.0}, "outside the supported symmetry class"),
     ({"gyy": -1.0}, "diagonal covariance entries must be nonnegative"),
     ({"jx": 0.0}, "fully depolarized"),
     ({"gzz": 0.0, "gyy": 0.0, "gyz": 0.0}, "lambda_plus must be positive"),
-])
-def test_every_check_applies_per_time(monkeypatch, spoil, message):
-    # spoil the second time only: the checks run on every time, not just the first
+    ({"norm": math.nan}, "state is not normalized"),
+    ({"jy": math.nan}, "outside the supported symmetry class"),
+]
+
+
+def spoil_band_moments(monkeypatch, spoil, rows):
     reduce = exact_dynamics.band_moments
 
     def spoiled(*args):
@@ -155,10 +199,27 @@ def test_every_check_applies_per_time(monkeypatch, spoil, message):
         changed = {}
         for name, value in spoil.items():
             column = getattr(mom, name).copy()
-            column[1] = value
+            column[rows] = value
             changed[name] = column
         return mom._replace(**changed)
 
     monkeypatch.setattr(exact_dynamics, "band_moments", spoiled)
+
+
+@pytest.mark.parametrize("spoil, message", SPOILS)
+def test_every_check_applies_per_time(monkeypatch, spoil, message):
+    # spoil the second time only: the checks run on every time, not just the first
+    spoil_band_moments(monkeypatch, spoil, 1)
     with pytest.raises(ValueError, match=message):
         trajectory(ModelParams.coupled(20, 2.0), coherent_state(20, math.pi / 2, math.pi), [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("spoil, message", SPOILS)
+def test_single_time_path_raises_like_trajectory(monkeypatch, spoil, message):
+    params, psi0 = ModelParams.coupled(20, 2.0), coherent_state(20, math.pi / 2, math.pi)
+    spoil_band_moments(monkeypatch, spoil, slice(None))
+    with pytest.raises(ValueError, match=message) as batched:
+        trajectory(params, psi0, [0.5])
+    with pytest.raises(ValueError, match=message) as single:
+        zeta2_of_time(params, psi0)(0.5)
+    assert str(single.value) == str(batched.value)

@@ -173,6 +173,18 @@ class TestWignerKernel:
         monkeypatch.setattr(importlib.import_module("bjjsim.wigner"), "TABLE_DOUBLES", 1)  # one theta per chunk
         assert np.abs(wigner(psi).values - whole).max() < 1e-12
 
+    @pytest.mark.parametrize("table_doubles", [1, 500, 1 << 17])
+    def test_wigner_at_shuffled_points_in_any_chunking(self, monkeypatch, table_doubles):
+        # points in random order, many sharing a theta, across chunk boundaries
+        psi = evolved_state(N)
+        grid = wigner(psi)
+        rng = np.random.default_rng(7)
+        i = rng.integers(0, grid.theta_samples.size, 600)
+        j = rng.integers(0, grid.phi_samples.size, 600)
+        monkeypatch.setattr(importlib.import_module("bjjsim.wigner"), "TABLE_DOUBLES", table_doubles)
+        got = wigner_at(psi, grid.theta_samples[i].reshape(20, 30), grid.phi_samples[j].reshape(20, 30))
+        assert np.abs(got - grid.values[i, j].reshape(20, 30)).max() < 1e-12
+
 
 class TestSeparatrix:
     def test_passes_through_fixed_point_exactly(self):
