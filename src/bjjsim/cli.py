@@ -117,6 +117,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.lambda_grid:
             raise ConfigError("lambda grid must be nonempty")
+        if not all(math.isfinite(l) for l in self.lambda_grid):
+            raise ConfigError(f"lambda grid entries must be finite, got {self.lambda_grid}")
         if any(l <= 0 for l in self.lambda_grid):
             raise ConfigError("lambda grid entries must be positive")
         if any(b <= a for a, b in zip(self.lambda_grid, self.lambda_grid[1:])):

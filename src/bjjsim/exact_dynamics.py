@@ -2,7 +2,9 @@
 
 This is the ground-truth path against which every analytic result in the
 package is measured.  The Hamiltonian chi*Jz^2 - omega*Jx is real symmetric
-tridiagonal in the Dicke basis, so the full spectrum costs O(N^2).
+tridiagonal in the Dicke basis, so the full spectrum costs O(N^2); it
+also commutes with the mode exchange m -> -m, which halves that cost for
+the propagation kernel (parity_spectrum).
 """
 
 from __future__ import annotations
@@ -37,7 +39,13 @@ PROPAGATION_DOUBLES = 2**20
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigendecomposition: ascending eigenvalues and orthonormal columns."""
+    """Full eigendecomposition: ascending eigenvalues and orthonormal columns.
+
+    band_spectrum (one solve of the whole tridiagonal H) makes the spectra
+    of the fit samples and the Wigner snapshots; parity_spectrum (two
+    half-size solves) makes the spectrum of the propagation kernel behind
+    trajectory and zeta2_of_time.
+    """
 
     n_particles: int
     eigenvalues: np.ndarray
@@ -79,14 +87,17 @@ def hamiltonian(params: ModelParams) -> CollectiveOperator:
     return CollectiveOperator(params.n_particles, mat, is_tridiagonal=True)
 
 
-def _spectrum(n_particles: int, solver, *args) -> Spectrum:
+def _eigensolve(n_particles: int, solver, *args) -> tuple[np.ndarray, np.ndarray]:
     try:
-        w, v = solver(*args)
+        return solver(*args)
     except scipy.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"eigendecomposition failed to converge for N={n_particles}: {exc}"
         ) from exc
-    return Spectrum(n_particles, w, v)
+
+
+def _spectrum(n_particles: int, solver, *args) -> Spectrum:
+    return Spectrum(n_particles, *_eigensolve(n_particles, solver, *args))
 
 
 def eigendecompose(op: CollectiveOperator) -> Spectrum:
@@ -105,11 +116,54 @@ def eigendecompose(op: CollectiveOperator) -> Spectrum:
 
 
 def band_spectrum(params: ModelParams) -> Spectrum:
-    """Spectrum of H from its bands, without the dense matrix.
+    """Spectrum of H from its bands in one (N+1)-point solve, without the dense matrix.
 
-    Bit for bit equal to eigendecompose(hamiltonian(params)).
+    Bit for bit equal to eigendecompose(hamiltonian(params)).  The samples
+    of the short-time fit (witness_of_time) and the Wigner snapshots
+    (cli.run_wigner) use it; the propagation kernel uses parity_spectrum.
     """
     return _spectrum(params.n_particles, scipy.linalg.eigh_tridiagonal, *hamiltonian_bands(params))
+
+
+def parity_spectrum(params: ModelParams) -> Spectrum:
+    """Spectrum of H from its two blocks under the mode exchange m -> -m.
+
+    H commutes with m -> -m, so in the basis |0>, (|m> +- |-m>)/sqrt(2),
+    m = 1 ... N/2, it splits into an even tridiagonal block of size N/2+1
+    (its first off-diagonal entry scaled by sqrt(2)) and an odd one of size
+    N/2.  Two half-size solves cost about half of band_spectrum's one.  The
+    block eigenvectors are expanded back to the Dicke basis, each column
+    bitwise even or odd in m, and placed by a stable sort of the merged
+    eigenvalues, so the result is a Spectrum like any other: ascending
+    eigenvalues, orthonormal columns.  It equals band_spectrum's to
+    roundoff; degenerate levels (omega = 0) get parity-adapted columns.
+    """
+    n = params.n_particles
+    j = n // 2
+    diag, off = hamiltonian_bands(params)
+    even_off = off[j:].copy()
+    even_off[0] *= np.sqrt(2.0)
+    w_even, u_even = _eigensolve(n, scipy.linalg.eigh_tridiagonal, diag[j:], even_off)
+    w_odd, u_odd = _eigensolve(n, scipy.linalg.eigh_tridiagonal, diag[j + 1 :], off[j + 1 :])
+    energies = np.concatenate((w_even, w_odd))
+    order = np.argsort(energies, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    even, odd = rank[: j + 1], rank[j + 1 :]
+    # row k of vecs_t is eigenvector k, so each expanded vector is written
+    # as one row (about 3x faster than scattered columns at N = 1000); the
+    # block vectors are scaled in place to keep the peak at V plus blocks
+    vecs_t = np.empty((n + 1, n + 1))
+    u_even[1:] /= np.sqrt(2.0)
+    u_odd /= np.sqrt(2.0)
+    vecs_t[even, j] = u_even[0]
+    vecs_t[even, j + 1 :] = u_even[1:].T
+    vecs_t[even, j - 1 :: -1] = u_even[1:].T
+    vecs_t[odd, j] = 0.0
+    vecs_t[odd, j + 1 :] = u_odd.T
+    u_odd *= -1.0
+    vecs_t[odd, j - 1 :: -1] = u_odd.T
+    return Spectrum(n, energies[order], vecs_t.T)
 
 
 def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
@@ -124,16 +178,20 @@ def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
 def _witness_kernel(params: ModelParams, psi0: StateVector):
     """Propagation kernel of one (params, psi0): ascending times -> records.
 
-    The spectrum comes straight from the bands of H and c = V^T psi0 is
+    The spectrum comes from the two parity blocks of H (parity_spectrum;
+    both sectors are propagated, so any psi0 is exact) and c = V^T psi0 is
     formed once.  Every block of at most PROPAGATION_DOUBLES doubles of
     amplitudes is propagated as two real matrix products V Re(e^{-iEt} c)
     and V Im(e^{-iEt} c), and the moments are O(N) band reductions per time
     (spin_core.band_moments).  Each time passes the checks of the scalar
     path (evolve, covariance_yz, make_record) and fails with the same
-    ValueError.
+    ValueError.  It serves trajectory (the evolve and oat-compare tables)
+    and zeta2_of_time (the minimum search).  The fit samples and the
+    Wigner snapshots keep band_spectrum: the fit amplifies the spectra's
+    roundoff difference to up to about 5e-8 relative in p4.
     """
     n = params.n_particles
-    spec = band_spectrum(params)
+    spec = parity_spectrum(params)
     if spec.dim != psi0.dim:
         raise ValueError(f"dimension mismatch: spectrum dim={spec.dim}, state dim={psi0.dim}")
     v, energies = spec.eigenvectors, spec.eigenvalues

@@ -255,6 +255,13 @@ class TestMain:
         assert "snapshot times must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("grid", ["nan", "0.5,nan", "inf"])
+    def test_non_finite_lambda_grid_is_config_error(self, tmp_path, capsys, grid):
+        rc = main(["sweep", "--n", "20", "--lambda-grid", grid, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "lambda grid entries must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_is_config_error(self, tmp_path):
         assert main(["evolve", "--frobnicate"]) == 1
 

@@ -5,7 +5,9 @@ matrix products and reduce the moments with band arithmetic, through one
 kernel; `witness_of_time` runs evolve, covariance_yz and expectation on
 dense operators, one time per call.  The two sum in different orders, so
 values agree to a tolerance fixed from the dtype: 1e-12 relative with a
-floor of 1 (natural units: hbar, shot noise).
+floor of 1 (natural units: hbar, shot noise).  The kernel's spectrum
+(parity_spectrum) is checked as a spectrum of H on its own, and at
+N = 1000 the kernel is checked against scipy's expm_multiply.
 """
 
 import math
@@ -13,7 +15,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse
+from hypothesis import example, given, settings, strategies as st
+from scipy.sparse.linalg import expm_multiply
 
 import bjjsim.exact_dynamics as exact_dynamics
 from bjjsim.cli import RunConfig, dimensionless_frequency
@@ -21,6 +25,8 @@ from bjjsim.exact_dynamics import (
     band_spectrum,
     eigendecompose,
     hamiltonian,
+    hamiltonian_bands,
+    parity_spectrum,
     trajectory,
     witness_of_time,
     zeta2_of_time,
@@ -131,6 +137,47 @@ def test_band_spectrum_is_bitwise_dense_spectrum(n, lam):
     banded = band_spectrum(params)
     assert np.array_equal(banded.eigenvalues, dense.eigenvalues)
     assert np.array_equal(banded.eigenvectors, dense.eigenvectors)
+
+
+@PROPERTY
+@given(n=even_n, lam=st.one_of(st.just(0.0), st.floats(0.05, 5.0)))
+@example(n=2, lam=0.0)
+@example(n=2, lam=1.5)
+def test_parity_spectrum_is_a_spectrum_of_h(n, lam):
+    # the twisting limit (lam = 0) has degenerate +-m levels
+    params = ModelParams.twisting(n) if lam == 0.0 else ModelParams.coupled(n, lam)
+    spec = parity_spectrum(params)
+    w, v = spec.eigenvalues, spec.eigenvectors
+    assert np.all(np.diff(w) >= 0.0)
+    full = band_spectrum(params).eigenvalues
+    assert np.abs(w - full).max() <= 1e-13 * max(1.0, np.abs(full).max())
+    assert np.abs(v.T @ v - np.eye(n + 1)).max() <= 1e-13
+    # H V - V diag(w) from the bands alone; |H| is the largest |eigenvalue|
+    diag, off = hamiltonian_bands(params)
+    hv = diag[:, None] * v
+    hv[1:] += off[:, None] * v[:-1]
+    hv[:-1] += off[:, None] * v[1:]
+    assert np.linalg.norm(hv - v * w, 2) <= 1e-13 * np.abs(w).max()
+    # every column is exactly even or exactly odd under m -> -m
+    even = np.all(v[::-1] == v, axis=0)
+    odd = np.all(v[::-1] == -v, axis=0)
+    assert np.all(even | odd)
+    assert even.sum() == n // 2 + 1
+
+
+def test_trajectory_matches_expm_multiply_at_large_n():
+    # lam = 3 pi state: self-trapped, near-degenerate doublets in the full spectrum
+    n, times = 1000, [0.5, 2.0, 5.0, 10.0]
+    params = ModelParams.coupled(n, 3.0)
+    psi0 = coherent_state(n, math.pi / 2, math.pi)
+    diag, off = hamiltonian_bands(params)
+    h = scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
+    states = np.array([expm_multiply(-1j * t * h, psi0.amplitudes) for t in times])
+    mom = band_moments(n, states.real, states.imag)
+    want = np.stack([mom.jx, mom.gzz, mom.gyy, mom.gyz], axis=1)
+    got = np.array([(r.jx_mean, r.gamma.gzz, r.gamma.gyy, r.gamma.gyz)
+                    for r in trajectory(params, psi0, times)])
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
 @PROPERTY
