@@ -23,7 +23,7 @@ from . import phase_model
 from .wigner import separatrix as separatrix_curve, wigner as wigner_grid
 from .exact_dynamics import band_spectrum, evolve, trajectory, witness_of_time, zeta2_of_time
 from .oat import oat_covariance, oat_jx
-from .output import write_table
+from .output import GridRows, write_table
 from .spin_core import ModelParams, StateVector, coherent_state
 from .witnesses import (
     fit_taylor_coeffs,
@@ -44,6 +44,12 @@ ENV_OUT_DIR = "BJJ_OUT_DIR"
 #: search and trajectories run on the band kernel and need none of them.
 #: Jx, Jy, Jz and V together take about 0.9 GB at N = 4000.
 MAX_N = 4000
+#: Largest particle number for `wigner`.  The tensor-operator table behind
+#: the multipoles holds about (N+1)^3/3 doubles for the life of the process
+#: (8 (N+1)^3 / 3 bytes), and the default grid grows with N as well: at
+#: N = 500 the table's construction peaks at 329 MiB and one snapshot runs
+#: at 473 MiB peak RSS; the table alone reaches 1 GiB near N = 736.
+WIGNER_MAX_N = 500
 
 EVOLVE_COLUMNS = (
     "t", "omega_t", "jx_mean", "gzz", "gyy", "gyz",
@@ -281,6 +287,8 @@ def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = No
     if want_separatrix and not has_separatrix:
         raise ConfigError(f"no separatrix through (pi, 0) for lam = {lam}")
     emit_separatrix = has_separatrix if want_separatrix is None else want_separatrix
+    if p.n_particles > WIGNER_MAX_N:
+        raise ConfigError(f"N = {p.n_particles} exceeds the Wigner limit N <= {WIGNER_MAX_N}")
 
     psi0 = initial_state_vector(cfg)
     spec = band_spectrum(p)
@@ -288,9 +296,8 @@ def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = No
     try:
         for i, t in enumerate(snapshot_times):
             grid = wigner_grid(evolve(spec, psi0, t))
-            theta, phi = np.meshgrid(grid.theta_samples, grid.phi_samples, indexing="ij")
-            rows = np.column_stack(
-                [theta.ravel(), phi.ravel(), grid.values.ravel(), grid.peak_normalized().ravel()]
+            rows = GridRows(
+                (grid.theta_samples, grid.phi_samples), (grid.values, grid.peak_normalized())
             )
             path = cfg.out_dir / f"wigner_t{i:02d}.{cfg.fmt}"
             written.append(write_table(path, cfg.fmt, "bjj-wigner", WIGNER_COLUMNS, rows))
@@ -414,7 +421,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lambda-grid", dest="lambda_grid", default=None,
                          help="comma list of ascending positive lambdas")
 
-    p_wig = sub.add_parser("wigner", help="Wigner sphere grids and separatrix")
+    p_wig = sub.add_parser(
+        "wigner", help=f"Wigner sphere grids and separatrix (N at most {WIGNER_MAX_N})"
+    )
     _add_common(p_wig)
     p_wig.add_argument("--snapshots", default=None, help="comma list of snapshot times")
     p_wig.add_argument("--separatrix", action="store_const", const=True, default=None,

@@ -8,6 +8,7 @@ import math
 import os
 from itertools import chain, islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +24,40 @@ def format_float(x) -> str:
     return format(x, ".17g")
 
 
+class GridRows(NamedTuple):
+    """A table over a product grid: row (a_i, b_j, v[i, j] for v in values).
+
+    axes holds the two 1-D sample arrays (a, b), a varying slowest; values
+    holds 2-D arrays of shape (len a, len b).  write_csv formats each axis
+    value once instead of once per row.
+    """
+
+    axes: tuple
+    values: tuple
+
+    def slabs(self):
+        """Yield (a_i, row i of every value array as a (len b, len values) array)."""
+        a, b = (np.asarray(x, dtype=float) for x in self.axes)
+        values = [np.asarray(v, dtype=float) for v in self.values]
+        for v in values:
+            if v.shape != (a.size, b.size):
+                raise ValueError(f"grid values must be ({a.size},{b.size}), got {v.shape}")
+        for i, x in enumerate(a.tolist()):
+            yield x, np.stack([v[i] for v in values], axis=1)
+
+    def expand(self):
+        """The same table as ordinary rows."""
+        b = np.asarray(self.axes[1], dtype=float).tolist()
+        for x, slab in self.slabs():
+            for y, vals in zip(b, slab.tolist()):
+                yield [x, y, *vals]
+
+
+def _check_width(width: int, ncol: int, schema_name: str) -> None:
+    if width != ncol:
+        raise ValueError(f"row has {width} fields, schema {schema_name} has {ncol}")
+
+
 def _blocks(rows):
     """Lists of at most BLOCK_ROWS rows; a 2-D array converts one block at a time."""
     if isinstance(rows, np.ndarray):
@@ -34,34 +69,53 @@ def _blocks(rows):
         yield block
 
 
+def _write_rows(fh, schema_name: str, ncol: int, rows) -> None:
+    """Numeric rows a block at a time; blocks holding a string go through csv."""
+    line = ",".join(["%.17g"] * ncol) + "\n"
+    writer = csv.writer(fh, lineterminator="\n")
+    for block in _blocks(rows):
+        bad = next((row for row in block if len(row) != ncol), None)
+        if bad is not None:
+            _check_width(len(bad), ncol, schema_name)
+        try:
+            fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
+        except TypeError:  # a string field: format row by row
+            writer.writerows(
+                [c if isinstance(c, str) else format_float(c) for c in row] for row in block
+            )
+
+
+def _write_grid(fh, grid: GridRows) -> None:
+    """One string operation per a-row: the b values are formatted once, into line tails."""
+    fields = ",%.17g" * len(grid.values) + "\n"
+    tails = [",%.17g%s" % (y, fields) for y in np.asarray(grid.axes[1], dtype=float).tolist()]
+    for x, slab in grid.slabs():
+        head = "%.17g" % x
+        fh.write((head + head.join(tails)) % tuple(slab.ravel().tolist()))
+
+
 def write_csv(path: Path, schema_name: str, columns, rows) -> Path:
     """Write rows atomically; the header comment line carries the schema tag.
 
     Numeric fields are written as format_float writes them ('%.17g' gives the
     same bytes), a block of rows per string operation.  Blocks holding a
     string fall back to the csv module, which quotes fields containing a
-    comma, a quote or a line break (QUOTE_MINIMAL).
+    comma, a quote or a line break (QUOTE_MINIMAL).  A GridRows table gives
+    the same bytes as its expanded rows.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     ncol = len(columns)
-    line = ",".join(["%.17g"] * ncol) + "\n"
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w") as fh:
             fh.write(f"# schema={schema_name}-v{SCHEMA_VERSION} columns={ncol}\n")
             fh.write(",".join(columns) + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            for block in _blocks(rows):
-                bad = next((row for row in block if len(row) != ncol), None)
-                if bad is not None:
-                    raise ValueError(f"row has {len(bad)} fields, schema {schema_name} has {ncol}")
-                try:
-                    fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
-                except TypeError:  # a string field: format row by row
-                    writer.writerows(
-                        [c if isinstance(c, str) else format_float(c) for c in row] for row in block
-                    )
+            if isinstance(rows, GridRows):
+                _check_width(len(rows.axes) + len(rows.values), ncol, schema_name)
+                _write_grid(fh, rows)
+            else:
+                _write_rows(fh, schema_name, ncol, rows)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -73,10 +127,11 @@ def write_json(path: Path, schema_name: str, columns, rows) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     ncol = len(columns)
+    if isinstance(rows, GridRows):
+        rows = rows.expand()
     payload_rows = []
     for row in chain.from_iterable(_blocks(rows)):
-        if len(row) != ncol:
-            raise ValueError(f"row has {len(row)} fields, schema {schema_name} has {ncol}")
+        _check_width(len(row), ncol, schema_name)
         payload_rows.append([c if isinstance(c, str) else float(c) for c in row])
     payload = {
         "schema": f"{schema_name}-v{SCHEMA_VERSION}",

@@ -269,29 +269,23 @@ def wigner_at(psi: StateVector, theta, phi) -> np.ndarray:
     return w.reshape(theta.shape) * np.sqrt((n + 1) / (4.0 * np.pi))
 
 
-def _separatrix_z(phi: float, lam: float) -> float | None:
-    """Smallest level-set root z >= 0 at fixed phi, or None where absent."""
+def _separatrix_z(phi: np.ndarray, lam: float) -> np.ndarray:
+    """Smallest level-set root z >= 0 at each phi, NaN where there is none."""
     c = np.cos(phi)
     disc = c * c * ((lam - 1.0) ** 2 - np.sin(phi) ** 2)
-    if disc < 0.0:
-        if disc < -1e-12:
-            return None
-        disc = 0.0
+    root = np.sqrt(np.where(disc < 0.0, 0.0, disc))  # roundoff below zero clamps
     base = 2.0 / lam**2
-    candidates = [
-        base * ((lam - c * c) - np.sqrt(disc)),
-        base * ((lam - c * c) + np.sqrt(disc)),
-    ]
-    valid = []
-    for u in candidates:
-        if -1e-12 <= u <= 1.0 + 1e-12:
-            u = min(max(u, 0.0), 1.0)
-            z = np.sqrt(u)
-            if abs(mean_field_energy(z, phi, lam) - 1.0) <= ROOT_RESIDUAL_TOL:
-                valid.append(z)
-    if not valid:
-        return None
-    return min(valid)
+    z = np.full(phi.shape, np.nan)
+    for u in (base * ((lam - c * c) - root), base * ((lam - c * c) + root)):
+        zu = np.sqrt(np.clip(u, 0.0, 1.0))
+        valid = (
+            (disc >= -1e-12)
+            & (u >= -1e-12)
+            & (u <= 1.0 + 1e-12)
+            & (np.abs(mean_field_energy(zu, phi, lam) - 1.0) <= ROOT_RESIDUAL_TOL)
+        )
+        z = np.fmin(z, np.where(valid, zu, np.nan))
+    return z
 
 
 def separatrix(lam: float, n_points: int = 721) -> SeparatrixCurve:
@@ -314,15 +308,9 @@ def separatrix(lam: float, n_points: int = 721) -> SeparatrixCurve:
         phi_lo = 0.0
 
     phi_pos = np.linspace(phi_lo, np.pi, n_points)
-    z_pos = []
-    keep = []
-    for p in phi_pos:
-        z = _separatrix_z(float(p), lam)
-        if z is not None:
-            keep.append(p)
-            z_pos.append(z)
-    phi_pos = np.asarray(keep)
-    z_pos = np.asarray(z_pos)
+    z_pos = _separatrix_z(phi_pos, lam)
+    keep = ~np.isnan(z_pos)
+    phi_pos, z_pos = phi_pos[keep], z_pos[keep]
     z_pos[-1] = 0.0  # the defining fixed point (pi, 0), exact
 
     # mirror into negative phi; drop the duplicate at phi = 0 when present

@@ -1,6 +1,7 @@
 """Command-line harness: file emission, validation, determinism."""
 
 import csv
+import importlib
 import json
 import math
 
@@ -10,10 +11,10 @@ import pytest
 import bjjsim.cli
 import bjjsim.exact_dynamics
 import bjjsim.spin_core
-import bjjsim.wigner
 from bjjsim.cli import (
     MAX_N,
     SWEEP_COLUMNS,
+    WIGNER_MAX_N,
     ConfigError,
     RunConfig,
     SweepConfig,
@@ -194,8 +195,13 @@ class TestParticleLimit:
         def refuse(*args, **kwargs):
             raise AssertionError("a dense operator was built")
 
-        for module in (bjjsim.spin_core, bjjsim.exact_dynamics, bjjsim.wigner, bjjsim.cli):
-            for name in ("build_spin_operators", "hamiltonian", "band_spectrum"):
+        # the package attribute bjjsim.wigner is the function, not the module
+        wigner_module = importlib.import_module("bjjsim.wigner")
+        for module in (bjjsim.spin_core, bjjsim.exact_dynamics, wigner_module, bjjsim.cli):
+            for name in (
+                "build_spin_operators", "hamiltonian", "band_spectrum",
+                "_tensor_components", "wigner", "wigner_grid",
+            ):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
 
@@ -211,6 +217,20 @@ class TestParticleLimit:
     def test_cli_exit_code(self, tmp_path, capsys, no_dense_operators, command):
         assert main([command, "--n", str(MAX_N + 2), "--out", str(tmp_path)]) == 1
         assert "exceeds" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_wigner_limit_rejected_before_allocating(self, tmp_path, capsys, no_dense_operators):
+        assert WIGNER_MAX_N < MAX_N
+        rc = main(["wigner", "--n", str(WIGNER_MAX_N + 2), "--lambda", "2.0", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "exceeds the Wigner limit" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_wigner_limit_admits_its_bound(self, tmp_path, no_dense_operators):
+        # the guard passes N = WIGNER_MAX_N on to the spectrum, which the fixture refuses
+        cfg = small_cfg(tmp_path, params=ModelParams.coupled(WIGNER_MAX_N, 2.0))
+        with pytest.raises(AssertionError, match="a dense operator was built"):
+            run_wigner(cfg, [0.5])
         assert not any(tmp_path.iterdir())
 
 

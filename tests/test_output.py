@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bjjsim.output import BLOCK_ROWS, format_float, write_csv, write_table
+from bjjsim.output import BLOCK_ROWS, GridRows, format_float, write_csv, write_table
 
 EDGE = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.8e308, 1.7976931348623157e308, 1 / 3]
 
@@ -56,4 +56,64 @@ def test_row_length_validated_without_leftovers(tmp_path, fmt, bad):
     rows = [[0.0, 1.0]] * (BLOCK_ROWS + 1) + [bad]
     with pytest.raises(ValueError, match=f"row has {len(bad)} fields"):
         write_table(tmp_path / f"v.{fmt}", fmt, "t", ["a", "b"], rows)
+    assert list(tmp_path.iterdir()) == []
+
+
+GRID_COLUMNS = ["theta", "phi", "w", "w_peak"]
+
+
+def grid_table(n_a, n_b, seed=0):
+    rng = np.random.default_rng(seed)
+    a, b = np.sort(rng.standard_normal(n_a)), np.sort(rng.standard_normal(n_b))
+    values = rng.standard_normal((2, n_a, n_b)) * 10.0 ** rng.integers(-300, 300, (2, n_a, n_b))
+    edge = np.resize(EDGE, values.size).reshape(values.shape)
+    values = np.where(rng.random(values.shape) < 0.3, edge, values)
+    return GridRows((a, b), tuple(values))
+
+
+def expanded(grid):
+    (a, b), (v, w) = grid
+    return [[x, y, v[i, j], w[i, j]] for i, x in enumerate(a) for j, y in enumerate(b)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (13, 29)])
+def test_grid_rows_match_expanded_rows(tmp_path, fmt, shape):
+    grid = grid_table(*shape, seed=shape[0] * 100 + shape[1])
+    got = write_table(tmp_path / f"g.{fmt}", fmt, "t", GRID_COLUMNS, grid)
+    want = write_table(tmp_path / f"r.{fmt}", fmt, "t", GRID_COLUMNS, expanded(grid))
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_rows_edge_values_on_axes_and_values(tmp_path, fmt):
+    axis = np.array([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1 / 3, 1.7976931348623157e308])
+    values = np.resize(EDGE, (axis.size, axis.size))
+    grid = GridRows((axis, axis[::-1]), (values, -values.T))
+    got = write_table(tmp_path / f"g.{fmt}", fmt, "t", GRID_COLUMNS, grid)
+    want = write_table(tmp_path / f"r.{fmt}", fmt, "t", GRID_COLUMNS, expanded(grid))
+    assert got.read_bytes() == want.read_bytes()
+    if fmt == "csv":
+        assert data_lines(got) == per_field(expanded(grid))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_values", [1, 3])
+def test_grid_field_count_validated_without_leftovers(tmp_path, fmt, n_values):
+    a, b = np.arange(3.0), np.arange(4.0)
+    grid = GridRows((a, b), tuple(np.ones((n_values, 3, 4))))
+    rows = [[x, y] + [1.0] * n_values for x in a for y in b]
+    message = f"row has {2 + n_values} fields, schema t has 4"
+    with pytest.raises(ValueError, match=message):
+        write_table(tmp_path / f"r.{fmt}", fmt, "t", GRID_COLUMNS, rows)
+    with pytest.raises(ValueError, match=message):
+        write_table(tmp_path / f"g.{fmt}", fmt, "t", GRID_COLUMNS, grid)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_value_shape_validated_without_leftovers(tmp_path, fmt):
+    grid = GridRows((np.arange(3.0), np.arange(4.0)), (np.ones((3, 4)), np.ones((4, 3))))
+    with pytest.raises(ValueError, match="grid values must be"):
+        write_table(tmp_path / f"g.{fmt}", fmt, "t", GRID_COLUMNS, grid)
     assert list(tmp_path.iterdir()) == []

@@ -11,6 +11,7 @@ from bjjsim.exact_dynamics import eigendecompose, evolve, hamiltonian
 from bjjsim.spin_core import ModelParams, coherent_state
 from bjjsim.phase_model import omega_pi_squared
 from bjjsim.wigner import (
+    ROOT_RESIDUAL_TOL,
     SeparatrixCurve,
     density_multipoles,
     mean_field_energy,
@@ -186,7 +187,44 @@ class TestWignerKernel:
         assert np.abs(got - grid.values[i, j].reshape(20, 30)).max() < 1e-12
 
 
+def loop_separatrix_z(phi, lam):
+    """Per-point reference for the separatrix root: smallest valid z, or None."""
+    c = np.cos(phi)
+    disc = c * c * ((lam - 1.0) ** 2 - np.sin(phi) ** 2)
+    if disc < 0.0:
+        if disc < -1e-12:
+            return None
+        disc = 0.0
+    base = 2.0 / lam**2
+    valid = []
+    for u in (base * ((lam - c * c) - np.sqrt(disc)), base * ((lam - c * c) + np.sqrt(disc))):
+        if -1e-12 <= u <= 1.0 + 1e-12:
+            z = np.sqrt(min(max(u, 0.0), 1.0))
+            if abs(mean_field_energy(z, phi, lam) - 1.0) <= ROOT_RESIDUAL_TOL:
+                valid.append(z)
+    return min(valid) if valid else None
+
+
 class TestSeparatrix:
+    @pytest.mark.parametrize("lam", [1.001, 1.02, 1.5, 1.9999, 2.0, 2.0001, 3.0, 10.0])
+    def test_matches_per_point_roots(self, lam):
+        if lam < 2.0:
+            phi_lo = np.arccos(-np.sqrt(lam * (2.0 - lam)))
+        else:
+            phi_lo = np.pi / 2.0 if lam == 2.0 else 0.0
+        roots = [(p, loop_separatrix_z(float(p), lam)) for p in np.linspace(phi_lo, np.pi, 721)]
+        phi = np.array([p for p, z in roots if z is not None])
+        z = np.array([z for p, z in roots if z is not None])
+        z[-1] = 0.0
+        start = 1 if phi[0] == 0.0 else 0
+        phi = np.concatenate([-phi[::-1], phi[start:]])
+        z = np.concatenate([z[::-1], z[start:]])
+
+        curve = separatrix(lam)
+        assert curve.phi.shape == phi.shape
+        assert np.array_equal(curve.phi.view(np.int64), phi.view(np.int64))
+        assert np.abs(curve.z - z).max() <= 2.3e-16
+
     def test_passes_through_fixed_point_exactly(self):
         for lam in [1.3, 2.0, 3.5]:
             curve = separatrix(lam, n_points=301)
