@@ -21,8 +21,8 @@ import numpy as np
 
 from . import phase_model
 from .wigner import separatrix as separatrix_curve, wigner as wigner_grid
-from .exact_dynamics import band_spectrum, evolve, trajectory, witness_of_time, zeta2_of_time
-from .oat import oat_covariance, oat_jx
+from .exact_dynamics import _witness_kernel, band_spectrum, evolve, trajectory, zeta2_of_time
+from .oat import oat_trajectory
 from .output import GridRows, write_table
 from .spin_core import ModelParams, StateVector, coherent_state
 from .witnesses import (
@@ -37,12 +37,11 @@ from .witnesses import (
 )
 
 ENV_OUT_DIR = "BJJ_OUT_DIR"
-#: Largest particle number accepted.  Every path holds the real eigenvector
-#: matrix V, 8 (N+1)^2 bytes.  The samples of the short-time fit still run
-#: on the dense scalar path (witness_of_time), whose operator tables Jx, Jy,
-#: Jz are complex (N+1) x (N+1) matrices, 16 (N+1)^2 bytes each; the minimum
-#: search and trajectories run on the band kernel and need none of them.
-#: Jx, Jy, Jz and V together take about 0.9 GB at N = 4000.
+#: Largest particle number accepted.  Every run path holds the real
+#: eigenvector matrix V, 8 (N+1)^2 bytes (122 MiB at N = 4000), and the
+#: eigensolver peaks at about twice that while it runs; trajectories, the
+#: minimum search and the fit samples all run on the band kernel and build
+#: no operator table.
 MAX_N = 4000
 #: Largest particle number for `wigner`.  The tensor-operator table behind
 #: the multipoles holds about (N+1)^3/3 doubles for the life of the process
@@ -118,7 +117,6 @@ class RunConfig:
 class SweepConfig:
     lambda_grid: tuple[float, ...]
     base: RunConfig
-    compare: tuple[str, ...] = ("analytic", "oat")
 
     def __post_init__(self):
         if not self.lambda_grid:
@@ -165,13 +163,6 @@ def _analytic_row(cfg: RunConfig, t: float) -> tuple:
             rec.lambda_plus, rec.lambda_minus, rec.xi2_opt, rec.zeta2_opt)
 
 
-def _oat_row(cfg: RunConfig, t: float) -> tuple:
-    p = cfg.params
-    rec = make_record(t, float(oat_jx(p.n_particles, p.chi, t)),
-                      oat_covariance(p.n_particles, p.chi, t), p.n_particles)
-    return (rec.jx_mean, rec.lambda_plus, rec.lambda_minus, rec.xi2_opt, rec.zeta2_opt)
-
-
 def _validate_compare(cfg: RunConfig):
     if "analytic" in cfg.compare:
         p = cfg.params
@@ -200,9 +191,10 @@ def run_evolve(cfg: RunConfig) -> list[Path]:
                rec.gamma.gyz, rec.lambda_plus, rec.lambda_minus, rec.xi2_opt, rec.zeta2_opt]
         if "analytic" in cfg.compare:
             row += list(_analytic_row(cfg, rec.t))
-        if "oat" in cfg.compare:
-            row += list(_oat_row(cfg, rec.t))
         rows.append(row)
+    if "oat" in cfg.compare:
+        for row, o in zip(rows, oat_trajectory(cfg.params.n_particles, cfg.params.chi, times)):
+            row += [o.jx_mean, o.lambda_plus, o.lambda_minus, o.xi2_opt, o.zeta2_opt]
 
     path = cfg.out_dir / f"evolve.{cfg.fmt}"
     return [write_table(path, cfg.fmt, "bjj-evolve", columns, rows)]
@@ -212,12 +204,8 @@ def _fit_in_omega_time(params: ModelParams, psi0: StateVector):
     """Protocol fit of the exact trajectory, reported in powers of omega*t."""
     n, chi = params.n_particles, params.chi
     times = np.concatenate([[0.0], FIT_WINDOW * np.arange(1, FIT_SAMPLES + 1) / FIT_SAMPLES / (n * chi)])
-    # Dense scalar samples, not the band kernel that the minimum search and
-    # trajectories use: the fit amplifies sample roundoff to about 1e-8
-    # relative in p4, so the samples keep the arithmetic that the stored
-    # sweep and fit outputs came from.
-    record = witness_of_time(params, psi0)
-    fit = fit_taylor_coeffs([record(float(t)) for t in times], n, chi)
+    # one kernel call on the full solve; see band_spectrum for why not parity_spectrum
+    fit = fit_taylor_coeffs(_witness_kernel(band_spectrum(params), psi0)(times), n, chi)
     return fit, fit.coeffs.in_omega_time(params.lam) if params.omega > 0 else None
 
 
@@ -320,11 +308,9 @@ def run_oat_compare(cfg: RunConfig) -> list[Path]:
     psi0 = initial_state_vector(cfg)
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps)
     n, chi = cfg.params.n_particles, cfg.params.chi
-    rows = []
-    for rec in trajectory(cfg.params, psi0, times):
-        o = make_record(rec.t, float(oat_jx(n, chi, rec.t)), oat_covariance(n, chi, rec.t), n)
-        rows.append([rec.t, n * chi * rec.t, rec.zeta2_opt, rec.xi2_opt,
-                     o.zeta2_opt, o.xi2_opt, o.zeta2_opt - rec.zeta2_opt])
+    rows = [[rec.t, n * chi * rec.t, rec.zeta2_opt, rec.xi2_opt,
+             o.zeta2_opt, o.xi2_opt, o.zeta2_opt - rec.zeta2_opt]
+            for rec, o in zip(trajectory(cfg.params, psi0, times), oat_trajectory(n, chi, times))]
     path = cfg.out_dir / f"oat_compare.{cfg.fmt}"
     return [write_table(path, cfg.fmt, "bjj-oat-compare", OAT_COMPARE_COLUMNS, rows)]
 
@@ -382,25 +368,15 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, value in raw.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
+        if not hasattr(args, key):
+            raise ConfigError(f"config key {key!r} does not apply to {args.command}")
+        if getattr(args, key) is None:
             cast = _CONFIG_KEYS[key]
             try:
                 setattr(args, key, value.lower() in ("1", "true", "yes") if cast is bool else cast(value))
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {value!r}") from exc
     return args
-
-
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="flat key = value config file; flags override")
-    sub.add_argument("--n", type=int, default=None, help=f"particle number (even, at most {MAX_N})")
-    sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="interaction over tunneling; omega is 1, chi = lam/N")
-    sub.add_argument("--state", choices=("pi", "zero"), default=None,
-                     help="initial coherent state")
-    sub.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT_DIR} or cwd)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--workers", type=int, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -410,32 +386,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_evolve = sub.add_parser("evolve", help="witness trajectory at fixed parameters")
-    _add_common(p_evolve)
+    def command(name: str, help: str, with_lambda: bool = True) -> argparse.ArgumentParser:
+        # no prefix matching, so `sweep --lambda` cannot read as --lambda-grid
+        cmd = sub.add_parser(name, help=help, allow_abbrev=False)
+        cmd.add_argument("--config", help="flat key = value config file; flags override")
+        cmd.add_argument("--n", type=int, default=None, help=f"particle number (even, at most {MAX_N})")
+        if with_lambda:
+            cmd.add_argument("--lambda", dest="lam", type=float, default=None,
+                             help="interaction over tunneling; omega is 1, chi = lam/N")
+        cmd.add_argument("--state", choices=("pi", "zero"), default=None,
+                         help="initial coherent state")
+        cmd.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT_DIR} or cwd)")
+        cmd.add_argument("--format", choices=("csv", "json"), default=None)
+        return cmd
+
+    p_evolve = command("evolve", "witness trajectory at fixed parameters")
     p_evolve.add_argument("--t-max", dest="t_max", type=float, default=None)
     p_evolve.add_argument("--steps", type=int, default=None)
     p_evolve.add_argument("--compare", default=None, help="comma list from {analytic,oat}")
 
-    p_sweep = sub.add_parser("sweep", help="minima, fitted coefficients and ratio over a lambda grid")
-    _add_common(p_sweep)
+    p_sweep = command("sweep", "minima, fitted coefficients and ratio over a lambda grid",
+                      with_lambda=False)
     p_sweep.add_argument("--lambda-grid", dest="lambda_grid", default=None,
                          help="comma list of ascending positive lambdas")
+    p_sweep.add_argument("--workers", type=int, default=None, help="processes for the grid rows")
 
-    p_wig = sub.add_parser(
-        "wigner", help=f"Wigner sphere grids and separatrix (N at most {WIGNER_MAX_N})"
-    )
-    _add_common(p_wig)
+    p_wig = command("wigner", f"Wigner sphere grids and separatrix (N at most {WIGNER_MAX_N})")
     p_wig.add_argument("--snapshots", default=None, help="comma list of snapshot times")
     p_wig.add_argument("--separatrix", action="store_const", const=True, default=None,
                        help="require the separatrix file (error when lam <= 1)")
 
-    p_oat = sub.add_parser("oat-compare", help="coupled vs twisting-only witnesses")
-    _add_common(p_oat)
+    p_oat = command("oat-compare", "coupled vs twisting-only witnesses")
     p_oat.add_argument("--t-max", dest="t_max", type=float, default=None)
     p_oat.add_argument("--steps", type=int, default=None)
 
-    p_fit = sub.add_parser("fit", help="short-time coefficient extraction")
-    _add_common(p_fit)
+    command("fit", "short-time coefficient extraction")
 
     return parser
 
@@ -449,7 +434,7 @@ def _float_list(text: str, what: str) -> tuple[float, ...]:
 
 def _run_config_from(args: argparse.Namespace) -> RunConfig:
     n = args.n if args.n is not None else 200
-    lam = args.lam if args.lam is not None else 2.0
+    lam = args.lam if getattr(args, "lam", None) is not None else 2.0
     try:
         params = ModelParams.coupled(n, lam)
     except (ValueError, TypeError) as exc:
@@ -465,7 +450,7 @@ def _run_config_from(args: argparse.Namespace) -> RunConfig:
         out_dir=out_dir,
         fmt=args.format if args.format is not None else "csv",
         compare=compare,
-        workers=args.workers if args.workers is not None else 1,
+        workers=args.workers if getattr(args, "workers", None) is not None else 1,
     )
 
 

@@ -4,7 +4,7 @@ This is the ground-truth path against which every analytic result in the
 package is measured.  The Hamiltonian chi*Jz^2 - omega*Jx is real symmetric
 tridiagonal in the Dicke basis, so the full spectrum costs O(N^2); it
 also commutes with the mode exchange m -> -m, which halves that cost for
-the propagation kernel (parity_spectrum).
+trajectories and the minimum search (parity_spectrum).
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ from .spin_core import (
     ModelParams,
     StateVector,
     band_moments,
-    build_spin_operators,
     check_first_moments,
     check_normalized,
-    covariance_yz,
-    expectation,
     m_values,
     raising_coefficients,
 )
@@ -41,10 +38,12 @@ PROPAGATION_DOUBLES = 2**20
 class Spectrum:
     """Full eigendecomposition: ascending eigenvalues and orthonormal columns.
 
-    band_spectrum (one solve of the whole tridiagonal H) makes the spectra
-    of the fit samples and the Wigner snapshots; parity_spectrum (two
-    half-size solves) makes the spectrum of the propagation kernel behind
-    trajectory and zeta2_of_time.
+    The propagation kernel (_witness_kernel) runs on whichever of the two
+    spectra of H its caller passes.  parity_spectrum (two half-size solves)
+    serves trajectory and zeta2_of_time; band_spectrum (one solve of the
+    whole tridiagonal H) serves the short-time fit samples and the Wigner
+    snapshots.  The two agree to roundoff, but the fit amplifies that
+    roundoff in p4 beyond the tolerance its stored outputs are checked at.
     """
 
     n_particles: int
@@ -119,8 +118,11 @@ def band_spectrum(params: ModelParams) -> Spectrum:
     """Spectrum of H from its bands in one (N+1)-point solve, without the dense matrix.
 
     Bit for bit equal to eigendecompose(hamiltonian(params)).  The samples
-    of the short-time fit (witness_of_time) and the Wigner snapshots
-    (cli.run_wigner) use it; the propagation kernel uses parity_spectrum.
+    of the short-time fit (the kernel, fed this spectrum by
+    cli._fit_in_omega_time) and the Wigner snapshots (cli.run_wigner) use
+    it.  Against dense per-time samples, the fitted p4 moves by under 1e-8
+    relative on this spectrum but by up to about 5e-8 on parity_spectrum,
+    and stored fit outputs are compared at 1e-8.
     """
     return _spectrum(params.n_particles, scipy.linalg.eigh_tridiagonal, *hamiltonian_bands(params))
 
@@ -137,6 +139,9 @@ def parity_spectrum(params: ModelParams) -> Spectrum:
     eigenvalues, so the result is a Spectrum like any other: ascending
     eigenvalues, orthonormal columns.  It equals band_spectrum's to
     roundoff; degenerate levels (omega = 0) get parity-adapted columns.
+    trajectory and zeta2_of_time feed it to the propagation kernel, whose
+    large-N diagonalization it halves; the short-time fit keeps
+    band_spectrum (see there).
     """
     n = params.n_particles
     j = n // 2
@@ -175,23 +180,20 @@ def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
     return StateVector(psi0.n_particles, amp)
 
 
-def _witness_kernel(params: ModelParams, psi0: StateVector):
-    """Propagation kernel of one (params, psi0): ascending times -> records.
+def _witness_kernel(spec: Spectrum, psi0: StateVector):
+    """Propagation kernel of one (spectrum, psi0): ascending times -> records.
 
-    The spectrum comes from the two parity blocks of H (parity_spectrum;
-    both sectors are propagated, so any psi0 is exact) and c = V^T psi0 is
-    formed once.  Every block of at most PROPAGATION_DOUBLES doubles of
-    amplitudes is propagated as two real matrix products V Re(e^{-iEt} c)
-    and V Im(e^{-iEt} c), and the moments are O(N) band reductions per time
-    (spin_core.band_moments).  Each time passes the checks of the scalar
-    path (evolve, covariance_yz, make_record) and fails with the same
-    ValueError.  It serves trajectory (the evolve and oat-compare tables)
-    and zeta2_of_time (the minimum search).  The fit samples and the
-    Wigner snapshots keep band_spectrum: the fit amplifies the spectra's
-    roundoff difference to up to about 5e-8 relative in p4.
+    The one witness propagator.  c = V^T psi0 is formed once.  Every block
+    of at most PROPAGATION_DOUBLES doubles of amplitudes is propagated as
+    two real matrix products V Re(e^{-iEt} c) and V Im(e^{-iEt} c), and the
+    moments are O(N) band reductions per time (spin_core.band_moments).
+    Each time passes the checks of the dense reference (evolve,
+    covariance_yz, make_record) and fails with the same ValueError.
+    trajectory (the evolve and oat-compare tables) and zeta2_of_time (the
+    minimum search) pass it parity_spectrum; the short-time fit
+    (cli._fit_in_omega_time) passes band_spectrum, see Spectrum for why.
     """
-    n = params.n_particles
-    spec = parity_spectrum(params)
+    n = spec.n_particles
     if spec.dim != psi0.dim:
         raise ValueError(f"dimension mismatch: spectrum dim={spec.dim}, state dim={psi0.dim}")
     v, energies = spec.eigenvectors, spec.eigenvalues
@@ -222,7 +224,7 @@ def trajectory(params: ModelParams, psi0: StateVector, times) -> list[WitnessRec
 
     The time grid is caller-supplied; spectral propagation is exact at any t,
     so no internal stepping is needed.  All times go through one batched
-    propagation kernel (see _witness_kernel).
+    propagation kernel (see _witness_kernel) on parity_spectrum.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -233,38 +235,18 @@ def trajectory(params: ModelParams, psi0: StateVector, times) -> list[WitnessRec
         raise ValueError("times must be nonnegative")
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
-    return _witness_kernel(params, psi0)(times)
-
-
-def witness_of_time(params: ModelParams, psi0: StateVector):
-    """Callable t -> WitnessRecord by dense scalar propagation of one time.
-
-    Diagonalizes once from the bands of H and reuses the spectrum; each
-    call runs evolve, covariance_yz and expectation on dense operators.
-    Only the samples of the short-time fit use it: the fit amplifies sample
-    roundoff to about 1e-8 relative in p4, so they keep the arithmetic that
-    the stored sweep and fit outputs came from.  It is also the reference
-    that the kernel is tested against.
-    """
-    spec = band_spectrum(params)
-    jx_op = build_spin_operators(params.n_particles)[0]
-
-    def record(t: float) -> WitnessRecord:
-        psi_t = evolve(spec, psi0, t)
-        gamma = covariance_yz(psi_t)
-        return make_record(t, expectation(jx_op, psi_t), gamma, params.n_particles)
-
-    return record
+    return _witness_kernel(parity_spectrum(params), psi0)(times)
 
 
 def zeta2_of_time(params: ModelParams, psi0: StateVector):
     """Callable t -> optimized QFI witness along the exact trajectory.
 
     Used by minimum searches, one time per call; the propagation kernel is
-    built once (one diagonalization, c = V^T psi0 formed once) and each call
-    is one single-time pass through it, with the kernel's per-time checks.
+    built once on parity_spectrum (one diagonalization, c = V^T psi0
+    formed once) and each call is one single-time pass through it, with
+    the kernel's per-time checks.
     """
-    kernel = _witness_kernel(params, psi0)
+    kernel = _witness_kernel(parity_spectrum(params), psi0)
 
     def zeta2(t: float) -> float:
         return kernel(np.array([t], dtype=float))[0].zeta2_opt

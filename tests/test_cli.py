@@ -313,6 +313,45 @@ class TestMain:
         assert "unknown config key" in capsys.readouterr().err
         assert not (tmp_path / "fit.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--lambda", "9"],
+        ["evolve", "--workers", "2"],
+        ["wigner", "--workers", "2"],
+        ["oat-compare", "--workers", "2"],
+        ["fit", "--workers", "2"],
+    ])
+    def test_flag_of_another_subcommand_rejected(self, tmp_path, capsys, argv):
+        assert main(argv + ["--n", "20", "--out", str(tmp_path)]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, line", [
+        ("sweep", "t_max = 2.0"),
+        ("sweep", "steps = 20"),
+        ("sweep", "snapshots = 0.5"),
+        ("sweep", "lambda = 9"),
+        ("sweep", "compare = oat"),
+        ("fit", "t_max = 2.0"),
+        ("fit", "steps = 20"),
+        ("fit", "snapshots = 0.5"),
+        ("fit", "workers = 2"),
+        ("evolve", "lambda_grid = 0.5,1.5"),
+        ("evolve", "snapshots = 0.5"),
+        ("evolve", "workers = 2"),
+    ])
+    def test_config_key_of_another_subcommand_rejected(self, tmp_path, capsys, command, line):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"n = 20\n{line}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(conf), "--out", str(out)]) == 1
+        assert "does not apply to " + command in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_keys_of_the_subcommand_accepted(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("n = 20\nlambda_grid = 1.5\nworkers = 1\nstate = zero\nformat = json\n")
+        assert main(["sweep", "--config", str(conf), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "sweep.json").exists()
+
     def test_custom_state_rejected(self, tmp_path, capsys):
         assert main(["evolve", "--state", "custom", "--out", str(tmp_path)]) == 1
         assert main(["evolve", "--theta", "1.0", "--out", str(tmp_path)]) == 1

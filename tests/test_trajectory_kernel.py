@@ -1,17 +1,22 @@
-"""The band propagation kernel against the dense scalar per-time path.
+"""The band propagation kernel against a dense per-time reference.
 
-`trajectory` and the callable of `zeta2_of_time` propagate with real
-matrix products and reduce the moments with band arithmetic, through one
-kernel; `witness_of_time` runs evolve, covariance_yz and expectation on
-dense operators, one time per call.  The two sum in different orders, so
-values agree to a tolerance fixed from the dtype: 1e-12 relative with a
-floor of 1 (natural units: hbar, shot noise).  The kernel's spectrum
+`trajectory`, the callable of `zeta2_of_time` and the short-time fit
+samples propagate with real matrix products and reduce the moments with
+band arithmetic, through one kernel; no run path builds the dense
+operators.  The reference `dense_witness_of_time`, built here from the
+public dense functions, runs evolve, covariance_yz and expectation on
+band_spectrum, one time per call.  The two sum in different orders, so
+records agree to a tolerance fixed from the dtype: 1e-12 relative with a
+floor of 1 (natural units: hbar, shot noise), and fitted coefficients to
+a bound set from the measured gap.  The kernel's spectrum
 (parity_spectrum) is checked as a spectrum of H on its own, and at
 N = 1000 the kernel is checked against scipy's expm_multiply.
 """
 
+import csv
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -20,15 +25,24 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 import bjjsim.exact_dynamics as exact_dynamics
-from bjjsim.cli import RunConfig, dimensionless_frequency
+from bjjsim.cli import (
+    RunConfig,
+    SweepConfig,
+    _fit_in_omega_time,
+    dimensionless_frequency,
+    run_evolve,
+    run_fit,
+    run_oat_compare,
+    run_sweep,
+)
 from bjjsim.exact_dynamics import (
     band_spectrum,
     eigendecompose,
+    evolve,
     hamiltonian,
     hamiltonian_bands,
     parity_spectrum,
     trajectory,
-    witness_of_time,
     zeta2_of_time,
 )
 from bjjsim.spin_core import (
@@ -40,7 +54,7 @@ from bjjsim.spin_core import (
     covariance_yz,
     expectation,
 )
-from bjjsim.witnesses import minimize_zeta2
+from bjjsim.witnesses import FIT_SAMPLES, FIT_WINDOW, fit_taylor_coeffs, make_record, minimize_zeta2
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -56,6 +70,18 @@ def fields(rec):
             rec.lambda_plus, rec.lambda_minus, rec.xi2_opt, rec.zeta2_opt)
 
 
+def dense_witness_of_time(params, psi0):
+    """Reference t -> record: evolve, covariance_yz and expectation on dense operators."""
+    spec = band_spectrum(params)
+    jx_op = build_spin_operators(params.n_particles)[0]
+
+    def record(t):
+        psi_t = evolve(spec, psi0, t)
+        return make_record(t, expectation(jx_op, psi_t), covariance_yz(psi_t), params.n_particles)
+
+    return record
+
+
 def assert_records_close(got, want, rtol):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -68,7 +94,7 @@ def assert_records_close(got, want, rtol):
 def test_records_match_scalar_path(n, lam, phi, times):
     params = ModelParams.coupled(n, lam)
     psi0 = coherent_state(n, math.pi / 2, phi)
-    record = witness_of_time(params, psi0)
+    record = dense_witness_of_time(params, psi0)
     assert_records_close(trajectory(params, psi0, times), [record(float(t)) for t in times], 1e-12)
 
 
@@ -77,7 +103,7 @@ def test_records_match_scalar_path(n, lam, phi, times):
 def test_single_time_path_matches_scalar_path(n, lam, phi, t):
     params = ModelParams.coupled(n, lam)
     psi0 = coherent_state(n, math.pi / 2, phi)
-    want = witness_of_time(params, psi0)(t).zeta2_opt
+    want = dense_witness_of_time(params, psi0)(t).zeta2_opt
     assert abs(zeta2_of_time(params, psi0)(t) - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -90,11 +116,52 @@ def test_minimum_search_matches_scalar_path(lam, state):
     freq = dimensionless_frequency(cfg)
     t_hi = (1.5 if state == "pi" else 1.25 * math.pi) / freq
     tol = 1e-4 / freq
-    record = witness_of_time(cfg.params, psi0)
+    record = dense_witness_of_time(cfg.params, psi0)
     t_dense, z_dense = minimize_zeta2(lambda t: record(t).zeta2_opt, t_hi, tol=tol)
     t_kernel, z_kernel = minimize_zeta2(zeta2_of_time(cfg.params, psi0), t_hi, tol=tol)
     assert abs(t_kernel - t_dense) <= tol
     assert z_kernel == pytest.approx(z_dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("model, lam", [("pi", 1.5), ("pi", 2.0), ("zero", 1.5), ("zero", 2.0), ("oat", None)])
+def test_fit_on_kernel_matches_dense_fit(model, lam):
+    # the protocol fit amplifies sample roundoff most in p4; the worst
+    # measured gap over these cases is 5.7e-10 (zero state, lam = 2)
+    n = 200
+    if model == "oat":
+        params, phi = ModelParams.twisting(n, chi=1.0), 0.0
+    else:
+        params, phi = ModelParams.coupled(n, lam), math.pi if model == "pi" else 0.0
+    psi0 = coherent_state(n, math.pi / 2, phi)
+    times = np.concatenate([[0.0], FIT_WINDOW * np.arange(1, FIT_SAMPLES + 1) / FIT_SAMPLES / (n * params.chi)])
+    record = dense_witness_of_time(params, psi0)
+    want = np.array(fit_taylor_coeffs([record(float(t)) for t in times], n, params.chi).coeffs.as_tuple())
+    got = np.array(_fit_in_omega_time(params, psi0)[0].coeffs.as_tuple())
+    assert np.all(np.abs(got - want) <= 2e-9 * np.maximum(1.0, np.abs(want))), (got, want)
+
+
+def test_run_paths_build_no_dense_operators(monkeypatch, tmp_path):
+    # every subcommand but wigner runs on the band kernel alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense operator path ran")
+
+    for name, module in list(sys.modules.items()):
+        if name == "bjjsim" or name.startswith("bjjsim."):
+            for attr in ("build_spin_operators", "covariance_yz", "expectation", "evolve"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    cfg = RunConfig(params=ModelParams.coupled(40, 2.0), t_max=2.0, n_steps=30,
+                    out_dir=tmp_path, compare=("analytic", "oat"))
+    run_evolve(cfg)
+    run_oat_compare(cfg)
+    run_fit(RunConfig(params=ModelParams.coupled(60, 1.5), initial_state="zero", out_dir=tmp_path))
+    run_sweep(SweepConfig(lambda_grid=(0.5, 2.0), base=RunConfig(params=ModelParams.coupled(20, 2.0),
+                                                                 out_dir=tmp_path)))
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        fh.readline()
+        assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "ok"]  # rows catch errors
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "evolve.csv", "fit.csv", "oat_compare.csv", "sweep.csv"]
 
 
 @PROPERTY
