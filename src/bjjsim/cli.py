@@ -37,11 +37,12 @@ from .witnesses import (
 )
 
 ENV_OUT_DIR = "BJJ_OUT_DIR"
-#: Largest particle number accepted.  Every run path holds the real
-#: eigenvector matrix V, 8 (N+1)^2 bytes (122 MiB at N = 4000), and the
-#: eigensolver peaks at about twice that while it runs; trajectories, the
-#: minimum search and the fit samples all run on the band kernel and build
-#: no operator table.
+#: Largest particle number accepted.  Trajectories and the minimum search
+#: hold the even parity block's eigenvectors, about (N/2+1)^2 doubles
+#: (31 MiB at N = 4000).  The fit samples hold the full real eigenvector
+#: matrix V, 8 (N+1)^2 bytes (122 MiB at N = 4000), and the eigensolver
+#: peaks at about twice that while it runs; that sets the limit.  No run
+#: path builds an operator table.
 MAX_N = 4000
 #: Largest particle number for `wigner`.  The tensor-operator table behind
 #: the multipoles holds about (N+1)^3/3 doubles for the life of the process
@@ -467,11 +468,12 @@ def main(argv=None) -> int:
         if args.command == "evolve":
             paths = run_evolve(cfg)
         elif args.command == "sweep":
-            grid_text = args.lambda_grid or "0.2,0.4,0.6,0.8"
+            # an empty list given on purpose reaches the "nonempty" check
+            grid_text = "0.2,0.4,0.6,0.8" if args.lambda_grid is None else args.lambda_grid
             sweep = SweepConfig(lambda_grid=_float_list(grid_text, "lambda grid"), base=cfg)
             paths = run_sweep(sweep)
         elif args.command == "wigner":
-            snaps = _float_list(args.snapshots or "0.0", "snapshot")
+            snaps = _float_list("0.0" if args.snapshots is None else args.snapshots, "snapshot")
             paths = run_wigner(cfg, snaps, want_separatrix=args.separatrix)
         elif args.command == "oat-compare":
             paths = run_oat_compare(cfg)

@@ -2,9 +2,11 @@
 
 This is the ground-truth path against which every analytic result in the
 package is measured.  The Hamiltonian chi*Jz^2 - omega*Jx is real symmetric
-tridiagonal in the Dicke basis, so the full spectrum costs O(N^2); it
-also commutes with the mode exchange m -> -m, which halves that cost for
-trajectories and the minimum search (parity_spectrum).
+tridiagonal in the Dicke basis, so the full spectrum costs O(N^2).  It
+also commutes with the mode exchange m -> -m, so trajectories and the
+minimum search propagate in its even and odd blocks (parity_spectrum), and
+only in those the initial state occupies: the equatorial coherent states
+are even, which takes one solve and one propagation of size N/2+1.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .spin_core import (
+    FIRST_MOMENT_TOL,
     CollectiveOperator,
     CovarianceYZ,
     ModelParams,
@@ -33,17 +36,33 @@ from .witnesses import WitnessRecord, make_record
 #: few times as much in temporaries.
 PROPAGATION_DOUBLES = 2**20
 
+#: Norm at or below which psi0's part in a parity block counts as empty,
+#: so that block is neither solved nor propagated.  Dropping a part o
+#: changes no check's verdict and no reported value beyond roundoff:
+#: <Jy> and <Jz>, odd under m -> -m, move by at most 2 |<e|J|o>| <= N |o|,
+#: a thousandth of the first-moment limit FIRST_MOMENT_TOL * N; the norm
+#: moves by |o|^2 <= 1e-22, far inside NORM_TOL; and the even moments
+#: (norm, <Jx>, gzz, gyy, gyz) move by <o|A|o> <= |A| |o|^2 <= N |o|^2, at
+#: most 4e-19 at N = 4000, below one ulp of a value of size 1.  Roundoff
+#: alone leaves |o| = 5.5e-14 in coherent_state(1000, pi/2, pi) and
+#: 2.6e-13 at N = 4000, 38x below.
+EMPTY_SECTOR_NORM = 1e-3 * FIRST_MOMENT_TOL
+
+_SQRT2 = np.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigendecomposition: ascending eigenvalues and orthonormal columns.
+    """Eigendecomposition: ascending eigenvalues and orthonormal columns.
 
-    The propagation kernel (_witness_kernel) runs on whichever of the two
-    spectra of H its caller passes.  parity_spectrum (two half-size solves)
-    serves trajectory and zeta2_of_time; band_spectrum (one solve of the
-    whole tridiagonal H) serves the short-time fit samples and the Wigner
-    snapshots.  The two agree to roundoff, but the fit amplifies that
-    roundoff in p4 beyond the tolerance its stored outputs are checked at.
+    Either of the whole H in the Dicke basis (band_spectrum, one solve of
+    size N+1: the short-time fit samples and the Wigner snapshots) or of
+    one block of H under m -> -m in that block's coordinates
+    (parity_spectrum, size N/2+1 or N/2: trajectory and zeta2_of_time,
+    through the propagation kernel _witness_kernel); dim is the size of
+    the matrix solved.  The two routes agree to roundoff, but the fit
+    amplifies that roundoff in p4 beyond the tolerance its stored outputs
+    are checked at, so it keeps the full solve.
     """
 
     n_particles: int
@@ -120,55 +139,83 @@ def band_spectrum(params: ModelParams) -> Spectrum:
     Bit for bit equal to eigendecompose(hamiltonian(params)).  The samples
     of the short-time fit (the kernel, fed this spectrum by
     cli._fit_in_omega_time) and the Wigner snapshots (cli.run_wigner) use
-    it.  Against dense per-time samples, the fitted p4 moves by under 1e-8
-    relative on this spectrum but by up to about 5e-8 on parity_spectrum,
-    and stored fit outputs are compared at 1e-8.
+    it.  Against dense per-time samples, the fitted p4 moves by at most
+    8.3e-9 relative on this spectrum; the parity sectors move it by up to
+    2.2e-9 more, which could take it past the 1e-8 at which stored fit
+    outputs are compared.
     """
     return _spectrum(params.n_particles, scipy.linalg.eigh_tridiagonal, *hamiltonian_bands(params))
 
 
-def parity_spectrum(params: ModelParams) -> Spectrum:
-    """Spectrum of H from its two blocks under the mode exchange m -> -m.
+def parity_spectrum(params: ModelParams, parity: int) -> Spectrum:
+    """Spectrum of the block of H with exchange parity +1 (even) or -1 (odd).
 
-    H commutes with m -> -m, so in the basis |0>, (|m> +- |-m>)/sqrt(2),
-    m = 1 ... N/2, it splits into an even tridiagonal block of size N/2+1
-    (its first off-diagonal entry scaled by sqrt(2)) and an odd one of size
-    N/2.  Two half-size solves cost about half of band_spectrum's one.  The
-    block eigenvectors are expanded back to the Dicke basis, each column
-    bitwise even or odd in m, and placed by a stable sort of the merged
-    eigenvalues, so the result is a Spectrum like any other: ascending
-    eigenvalues, orthonormal columns.  It equals band_spectrum's to
-    roundoff; degenerate levels (omega = 0) get parity-adapted columns.
-    trajectory and zeta2_of_time feed it to the propagation kernel, whose
-    large-N diagonalization it halves; the short-time fit keeps
-    band_spectrum (see there).
+    H commutes with the mode exchange m -> -m, so in the basis |0>,
+    (|m> +- |-m>)/sqrt(2), m = 1 ... N/2, it splits into an even
+    tridiagonal block of size N/2+1 (its first off-diagonal entry scaled by
+    sqrt(2)) and an odd one of size N/2.  The spectrum is in the block's own
+    coordinates (_parity_coords); _from_parity maps its columns back to the
+    Dicke basis, each exactly even or odd in m.  The two blocks' eigenvalues
+    together are band_spectrum's to roundoff.  The propagation kernel solves
+    only the blocks the initial state occupies, one for the equatorial
+    coherent states.
     """
+    if parity not in (1, -1):
+        raise ValueError(f"parity must be +1 or -1, got {parity}")
     n = params.n_particles
     j = n // 2
     diag, off = hamiltonian_bands(params)
+    if parity == -1:
+        return _spectrum(n, scipy.linalg.eigh_tridiagonal, diag[j + 1 :], off[j + 1 :])
     even_off = off[j:].copy()
-    even_off[0] *= np.sqrt(2.0)
-    w_even, u_even = _eigensolve(n, scipy.linalg.eigh_tridiagonal, diag[j:], even_off)
-    w_odd, u_odd = _eigensolve(n, scipy.linalg.eigh_tridiagonal, diag[j + 1 :], off[j + 1 :])
-    energies = np.concatenate((w_even, w_odd))
-    order = np.argsort(energies, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    even, odd = rank[: j + 1], rank[j + 1 :]
-    # row k of vecs_t is eigenvector k, so each expanded vector is written
-    # as one row (about 3x faster than scattered columns at N = 1000); the
-    # block vectors are scaled in place to keep the peak at V plus blocks
-    vecs_t = np.empty((n + 1, n + 1))
-    u_even[1:] /= np.sqrt(2.0)
-    u_odd /= np.sqrt(2.0)
-    vecs_t[even, j] = u_even[0]
-    vecs_t[even, j + 1 :] = u_even[1:].T
-    vecs_t[even, j - 1 :: -1] = u_even[1:].T
-    vecs_t[odd, j] = 0.0
-    vecs_t[odd, j + 1 :] = u_odd.T
-    u_odd *= -1.0
-    vecs_t[odd, j - 1 :: -1] = u_odd.T
-    return Spectrum(n, energies[order], vecs_t.T)
+    even_off[0] *= _SQRT2
+    return _spectrum(n, scipy.linalg.eigh_tridiagonal, diag[j:], even_off)
+
+
+def _parity_coords(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd block coordinates of Dicke amplitudes (along the last axis).
+
+    With j = N/2 and i = 1 ... j: even = (psi_j, (psi_{j+i} + psi_{j-i})/sqrt(2)),
+    odd = (psi_{j+i} - psi_{j-i})/sqrt(2); the bases of parity_spectrum.
+    """
+    j = amp.shape[-1] // 2
+    up, down = amp[..., j + 1 :], amp[..., j - 1 :: -1]
+    even = np.concatenate((amp[..., j : j + 1], (up + down) / _SQRT2), axis=-1)
+    return even, (up - down) / _SQRT2
+
+
+def _from_parity(even: np.ndarray, odd: np.ndarray | None = None) -> np.ndarray:
+    """Dicke amplitudes (along the last axis) from even and odd block coordinates.
+
+    The inverse of _parity_coords.  Without an odd part the amplitudes are
+    bitwise even in m, and with a zero even part bitwise odd.
+    """
+    if odd is None:
+        up = down = even[..., 1:] / _SQRT2
+    else:
+        up, down = (even[..., 1:] + odd) / _SQRT2, (even[..., 1:] - odd) / _SQRT2
+    return np.concatenate((down[..., ::-1], even[..., :1], up), axis=-1)
+
+
+def _parity_sectors(params: ModelParams, psi0: StateVector):
+    """The parity blocks psi0 occupies, and the map of their amplitudes to the Dicke basis.
+
+    Each block is (eigenvalues, block eigenvectors, coordinates of psi0); a
+    block where psi0 has norm at most EMPTY_SECTOR_NORM is left out
+    unsolved.  The map takes the blocks' amplitudes in the same order.
+    """
+    even, odd = _parity_coords(psi0.amplitudes)
+
+    def block(parity, coords):
+        spec = parity_spectrum(params, parity)
+        return spec.eigenvalues, spec.eigenvectors, coords
+
+    if np.linalg.norm(odd) <= EMPTY_SECTOR_NORM:
+        return [block(1, even)], lambda parts: _from_parity(parts[0])
+    if np.linalg.norm(even) <= EMPTY_SECTOR_NORM:
+        zeros = lambda odd_part: np.zeros(odd_part.shape[:-1] + even.shape)
+        return [block(-1, odd)], lambda parts: _from_parity(zeros(parts[0]), parts[0])
+    return [block(1, even), block(-1, odd)], lambda parts: _from_parity(*parts)
 
 
 def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
@@ -180,35 +227,53 @@ def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
     return StateVector(psi0.n_particles, amp)
 
 
-def _witness_kernel(spec: Spectrum, psi0: StateVector):
-    """Propagation kernel of one (spectrum, psi0): ascending times -> records.
+def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
+    """Propagation kernel of one (H, psi0): ascending times -> records.
 
-    The one witness propagator.  c = V^T psi0 is formed once.  Every block
-    of at most PROPAGATION_DOUBLES doubles of amplitudes is propagated as
-    two real matrix products V Re(e^{-iEt} c) and V Im(e^{-iEt} c), and the
-    moments are O(N) band reductions per time (spin_core.band_moments).
-    Each time passes the checks of the dense reference (evolve,
-    covariance_yz, make_record) and fails with the same ValueError.
-    trajectory (the evolve and oat-compare tables) and zeta2_of_time (the
-    minimum search) pass it parity_spectrum; the short-time fit
-    (cli._fit_in_omega_time) passes band_spectrum, see Spectrum for why.
+    The one witness propagator.  It works sector by sector, a sector being
+    a block of H with its spectrum and psi0's coordinates in that block.
+    Given a Spectrum of the whole H (band_spectrum; the short-time fit,
+    cli._fit_in_omega_time), there is one sector, the Dicke basis itself.
+    Given the ModelParams (trajectory, zeta2_of_time), the sectors are the
+    even and odd blocks under m -> -m (parity_spectrum), and only those
+    psi0 occupies beyond EMPTY_SECTOR_NORM are solved: one solve of size
+    N/2+1 for the equatorial coherent states.  In each sector c = U^T p is
+    formed once; every block of at most PROPAGATION_DOUBLES doubles of
+    amplitudes is propagated as two real matrix products U Re(e^{-iwt} c)
+    and U Im(e^{-iwt} c), the parity sectors are mirrored back into the
+    Dicke basis (_from_parity, O(N) per time), and the moments are O(N)
+    band reductions per time (spin_core.band_moments).  Each time passes
+    the checks of the dense reference (evolve, covariance_yz, make_record)
+    and fails with the same ValueError.
     """
-    n = spec.n_particles
-    if spec.dim != psi0.dim:
-        raise ValueError(f"dimension mismatch: spectrum dim={spec.dim}, state dim={psi0.dim}")
-    v, energies = spec.eigenvectors, spec.eigenvalues
-    c_re = psi0.amplitudes.real @ v
-    c_im = psi0.amplitudes.imag @ v
-    chunk = max(1, PROPAGATION_DOUBLES // (2 * spec.dim))
+    n = psi0.n_particles
+    if isinstance(source, Spectrum):
+        if source.dim != psi0.dim:
+            raise ValueError(f"dimension mismatch: spectrum dim={source.dim}, state dim={psi0.dim}")
+        sectors = [(source.eigenvalues, source.eigenvectors, psi0.amplitudes)]
+        embed = lambda parts: parts[0]
+    else:
+        if source.n_particles != n:
+            raise ValueError(
+                f"dimension mismatch: model dim={source.n_particles + 1}, state dim={psi0.dim}"
+            )
+        sectors, embed = _parity_sectors(source, psi0)
+    sectors = [(w, u, p.real @ u, p.imag @ u) for w, u, p in sectors]
+    chunk = max(1, PROPAGATION_DOUBLES // (2 * psi0.dim))
+
+    def propagate(ts: np.ndarray):
+        # rows are states: psi(t) = (e^{-iwt} * c) U^T in each sector
+        for energies, u, c_re, c_im in sectors:
+            phase = np.outer(ts, energies)
+            cos, sin = np.cos(phase), np.sin(phase)
+            yield (cos * c_re + sin * c_im) @ u.T, (cos * c_im - sin * c_re) @ u.T
 
     def records(times: np.ndarray) -> list[WitnessRecord]:
         out = []
         for start in range(0, times.size, chunk):
             ts = times[start : start + chunk]
-            phase = np.outer(ts, energies)
-            cos, sin = np.cos(phase), np.sin(phase)
-            # rows are states: psi(t) = (e^{-iEt} * c) V^T
-            mom = band_moments(n, (cos * c_re + sin * c_im) @ v.T, (cos * c_im - sin * c_re) @ v.T)
+            re, im = zip(*propagate(ts))
+            mom = band_moments(n, embed(re), embed(im))
             for t, norm, jx, jy, jz, gzz, gyy, gyz in zip(ts.tolist(), *(x.tolist() for x in mom)):
                 check_normalized(norm)
                 check_first_moments(jy, jz, n)
@@ -224,7 +289,8 @@ def trajectory(params: ModelParams, psi0: StateVector, times) -> list[WitnessRec
 
     The time grid is caller-supplied; spectral propagation is exact at any t,
     so no internal stepping is needed.  All times go through one batched
-    propagation kernel (see _witness_kernel) on parity_spectrum.
+    propagation kernel (see _witness_kernel) in the parity sectors psi0
+    occupies.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -235,18 +301,19 @@ def trajectory(params: ModelParams, psi0: StateVector, times) -> list[WitnessRec
         raise ValueError("times must be nonnegative")
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
-    return _witness_kernel(parity_spectrum(params), psi0)(times)
+    return _witness_kernel(params, psi0)(times)
 
 
 def zeta2_of_time(params: ModelParams, psi0: StateVector):
     """Callable t -> optimized QFI witness along the exact trajectory.
 
     Used by minimum searches, one time per call; the propagation kernel is
-    built once on parity_spectrum (one diagonalization, c = V^T psi0
-    formed once) and each call is one single-time pass through it, with
-    the kernel's per-time checks.
+    built once in the parity sectors psi0 occupies (one half-size
+    diagonalization for an equatorial state, c = U^T p formed once) and
+    each call is one single-time pass through it, with the kernel's
+    per-time checks.
     """
-    kernel = _witness_kernel(parity_spectrum(params), psi0)
+    kernel = _witness_kernel(params, psi0)
 
     def zeta2(t: float) -> float:
         return kernel(np.array([t], dtype=float))[0].zeta2_opt

@@ -273,14 +273,15 @@ def _separatrix_z(phi: np.ndarray, lam: float) -> np.ndarray:
     """Smallest level-set root z >= 0 at each phi, NaN where there is none."""
     c = np.cos(phi)
     disc = c * c * ((lam - 1.0) ** 2 - np.sin(phi) ** 2)
-    root = np.sqrt(np.where(disc < 0.0, 0.0, disc))  # roundoff below zero clamps
+    # negative disc clamps to a double root; where no real root exists,
+    # the energy filter below rejects that candidate
+    root = np.sqrt(np.where(disc < 0.0, 0.0, disc))
     base = 2.0 / lam**2
     z = np.full(phi.shape, np.nan)
     for u in (base * ((lam - c * c) - root), base * ((lam - c * c) + root)):
         zu = np.sqrt(np.clip(u, 0.0, 1.0))
         valid = (
-            (disc >= -1e-12)
-            & (u >= -1e-12)
+            (u >= -1e-12)
             & (u <= 1.0 + 1e-12)
             & (np.abs(mean_field_energy(zu, phi, lam) - 1.0) <= ROOT_RESIDUAL_TOL)
         )

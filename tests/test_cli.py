@@ -282,6 +282,21 @@ class TestMain:
         assert "lambda grid entries must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, conf, message", [
+        (["sweep", "--lambda-grid", ""], "", "lambda grid must be nonempty"),
+        (["sweep", "--lambda-grid", ","], "", "lambda grid must be nonempty"),
+        (["sweep"], "lambda_grid =", "lambda grid must be nonempty"),
+        (["wigner", "--snapshots", ""], "", "snapshot times must be finite, nonnegative and nonempty"),
+        (["wigner"], "snapshots =", "snapshot times must be finite, nonnegative and nonempty"),
+    ])
+    def test_empty_list_is_config_error(self, tmp_path, capsys, argv, conf, message):
+        # an empty list is an error, not a request for the default list
+        (tmp_path / "run.conf").write_text(f"n = 20\n{conf}\n")
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(tmp_path / "run.conf"), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_is_config_error(self, tmp_path):
         assert main(["evolve", "--frobnicate"]) == 1
 

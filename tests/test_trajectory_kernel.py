@@ -8,9 +8,11 @@ public dense functions, runs evolve, covariance_yz and expectation on
 band_spectrum, one time per call.  The two sum in different orders, so
 records agree to a tolerance fixed from the dtype: 1e-12 relative with a
 floor of 1 (natural units: hbar, shot noise), and fitted coefficients to
-a bound set from the measured gap.  The kernel's spectrum
-(parity_spectrum) is checked as a spectrum of H on its own, and at
-N = 1000 the kernel is checked against scipy's expm_multiply.
+a bound set from the measured gap.  The parity blocks (parity_spectrum)
+are checked as a spectrum of H on their own, the kernel in the parity
+sectors against the kernel on band_spectrum, with its eigensolves
+counted, and at N = 1000 the kernel is checked against scipy's
+expm_multiply.
 """
 
 import csv
@@ -20,12 +22,14 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 import bjjsim.exact_dynamics as exact_dynamics
 from bjjsim.cli import (
+    MAX_N,
     RunConfig,
     SweepConfig,
     _fit_in_omega_time,
@@ -36,6 +40,9 @@ from bjjsim.cli import (
     run_sweep,
 )
 from bjjsim.exact_dynamics import (
+    _from_parity,
+    _parity_coords,
+    _witness_kernel,
     band_spectrum,
     eigendecompose,
     evolve,
@@ -213,11 +220,18 @@ def test_band_spectrum_is_bitwise_dense_spectrum(n, lam):
 def test_parity_spectrum_is_a_spectrum_of_h(n, lam):
     # the twisting limit (lam = 0) has degenerate +-m levels
     params = ModelParams.twisting(n) if lam == 0.0 else ModelParams.coupled(n, lam)
-    spec = parity_spectrum(params)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    assert np.all(np.diff(w) >= 0.0)
+    even, odd = parity_spectrum(params, 1), parity_spectrum(params, -1)
+    assert (even.dim, odd.dim) == (n // 2 + 1, n // 2)
+    for block in (even, odd):
+        assert np.all(np.diff(block.eigenvalues) >= 0.0)
+        u = block.eigenvectors
+        assert np.abs(u.T @ u - np.eye(block.dim)).max() <= 1e-13
+    w = np.concatenate((even.eigenvalues, odd.eigenvalues))
     full = band_spectrum(params).eigenvalues
-    assert np.abs(w - full).max() <= 1e-13 * max(1.0, np.abs(full).max())
+    assert np.abs(np.sort(w) - full).max() <= 1e-13 * max(1.0, np.abs(full).max())
+    # the block vectors mirrored into the Dicke basis, one column each
+    v = np.vstack((_from_parity(even.eigenvectors.T, np.zeros((even.dim, odd.dim))),
+                   _from_parity(np.zeros((odd.dim, even.dim)), odd.eigenvectors.T))).T
     assert np.abs(v.T @ v - np.eye(n + 1)).max() <= 1e-13
     # H V - V diag(w) from the bands alone; |H| is the largest |eigenvalue|
     diag, off = hamiltonian_bands(params)
@@ -226,10 +240,102 @@ def test_parity_spectrum_is_a_spectrum_of_h(n, lam):
     hv[:-1] += off[:, None] * v[1:]
     assert np.linalg.norm(hv - v * w, 2) <= 1e-13 * np.abs(w).max()
     # every column is exactly even or exactly odd under m -> -m
-    even = np.all(v[::-1] == v, axis=0)
-    odd = np.all(v[::-1] == -v, axis=0)
-    assert np.all(even | odd)
-    assert even.sum() == n // 2 + 1
+    even_cols = np.all(v[::-1] == v, axis=0)
+    odd_cols = np.all(v[::-1] == -v, axis=0)
+    assert np.all(even_cols[: even.dim]) and np.all(odd_cols[even.dim :])
+
+
+def kernel_fields(rec):
+    # xi^2 = N^2 lambda_- / (4 <Jx>^2) is ill-conditioned where <Jx> passes
+    # through zero; it is compared through lambda_- and <Jx>
+    return fields(rec)[:7] + fields(rec)[8:]
+
+
+def assert_kernels_close(params, psi0, times):
+    got = _witness_kernel(params, psi0)(times)
+    want = _witness_kernel(band_spectrum(params), psi0)(times)
+    a = np.array([kernel_fields(r) for r in got])
+    b = np.array([kernel_fields(r) for r in want])
+    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))), (a, b)
+
+
+@PROPERTY
+@given(n=even_n, lam=st.one_of(st.just(0.0), st.floats(0.05, 5.0)), phi=phis,
+       times=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).map(sorted))
+def test_sector_kernel_matches_band_kernel(n, lam, phi, times):
+    # the two spectra differ by roundoff, which the propagation amplifies in
+    # proportion to t |H|; up to t = 1 the measured worst gap is 8e-14.
+    # lam = 0 is the twisting limit with chi = 1/N, degenerate in +-m
+    params = ModelParams.twisting(n, chi=1.0 / n) if lam == 0.0 else ModelParams.coupled(n, lam)
+    assert_kernels_close(params, coherent_state(n, math.pi / 2, phi), np.array(times))
+
+
+def count_eigensolves(monkeypatch):
+    sizes = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def counted(d, e, *args, **kwargs):
+        sizes.append(len(d))
+        return solve(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("phi", [math.pi, 0.0])
+@pytest.mark.parametrize("n", [2, 40, 1000])
+def test_equatorial_trajectory_solves_the_even_block_once(monkeypatch, n, phi):
+    params, psi0 = ModelParams.coupled(n, 2.0), coherent_state(n, math.pi / 2, phi)
+    sizes = count_eigensolves(monkeypatch)
+    trajectory(params, psi0, [0.0, 0.5, 1.0])
+    assert sizes == [n // 2 + 1]
+    zeta2 = zeta2_of_time(params, psi0)
+    zeta2(0.5), zeta2(1.0)
+    assert sizes == [n // 2 + 1] * 2
+
+
+@pytest.mark.parametrize("state", ["pi", "zero"])
+def test_trajectory_commands_solve_the_even_block_once(monkeypatch, tmp_path, state):
+    n = 40
+    cfg = RunConfig(params=ModelParams.coupled(n, 2.0), initial_state=state, t_max=2.0,
+                    n_steps=10, out_dir=tmp_path, compare=("analytic", "oat"))
+    sizes = count_eigensolves(monkeypatch)
+    run_evolve(cfg)
+    assert sizes == [n // 2 + 1]
+    run_oat_compare(cfg)
+    assert sizes == [n // 2 + 1] * 2
+
+
+@pytest.mark.parametrize("phi", [math.pi, 0.0])
+def test_equatorial_odd_part_is_far_below_the_bound(phi):
+    # roundoff leaves an odd part in the even coherent states; at the largest
+    # N it must stay at least 10x below the bound that skips the odd block
+    odd = _parity_coords(coherent_state(MAX_N, math.pi / 2, phi).amplitudes)[1]
+    assert 10.0 * np.linalg.norm(odd) <= exact_dynamics.EMPTY_SECTOR_NORM
+
+
+def parity_state(n, even_part, odd_part):
+    # an equatorial coherent state (even) plus a multiple of a fixed odd vector
+    even = coherent_state(n, math.pi / 2, math.pi).amplitudes
+    odd = np.sin(np.arange(n + 1) - n / 2) * np.linspace(1.0, 2.0, n + 1)
+    odd = (odd - odd[::-1]) / np.linalg.norm(odd - odd[::-1])
+    amp = even_part * even + odd_part * odd
+    return StateVector(n, amp / np.linalg.norm(amp))
+
+
+@pytest.mark.parametrize("even_part, odd_part, solved", [
+    (1.0, 0.5 * exact_dynamics.EMPTY_SECTOR_NORM, "even"),
+    (1.0, 2.0 * exact_dynamics.EMPTY_SECTOR_NORM, "both"),
+    (1.0, 1e-9, "both"),
+    (0.0, 1.0, "odd"),
+])
+def test_occupied_sectors_are_solved_and_propagated(monkeypatch, even_part, odd_part, solved):
+    n = 60
+    params, psi0 = ModelParams.coupled(n, 2.0), parity_state(n, even_part, odd_part)
+    sizes = count_eigensolves(monkeypatch)
+    _witness_kernel(params, psi0)
+    assert sizes == {"even": [n // 2 + 1], "odd": [n // 2], "both": [n // 2 + 1, n // 2]}[solved]
+    assert_kernels_close(params, psi0, np.linspace(0.0, 1.0, 11))
 
 
 def test_trajectory_matches_expm_multiply_at_large_n():
@@ -290,8 +396,12 @@ def test_off_equatorial_state_raises_like_scalar_path(theta, phi):
 
 
 def test_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        trajectory(ModelParams.coupled(10, 1.5), coherent_state(12, math.pi / 2, math.pi), [0.0])
+    # the kernel's own check, not a shape error of numpy's matmul ("mismatch in its core dimension")
+    params, psi0 = ModelParams.coupled(10, 1.5), coherent_state(12, math.pi / 2, math.pi)
+    with pytest.raises(ValueError, match="dimension mismatch: model dim=11, state dim=13"):
+        trajectory(params, psi0, [0.0])
+    with pytest.raises(ValueError, match="dimension mismatch: spectrum dim=11, state dim=13"):
+        _witness_kernel(band_spectrum(params), psi0)
 
 
 SPOILS = [
