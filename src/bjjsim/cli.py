@@ -217,6 +217,8 @@ def _sweep_row(args) -> list:
         cfg = RunConfig(params=params, initial_state=state)
         psi0 = initial_state_vector(cfg)
 
+        # fit first: after the search, its full solve would peak on top of the search's freed blocks
+        fit, fit_omega = _fit_in_omega_time(params, psi0)
         freq = dimensionless_frequency(cfg)
         stable = state == "zero" or phase_model.omega_pi_squared(lam, n) > 0.0
         # stable regimes: cover the first witness minimum near 2 w t = pi
@@ -230,7 +232,6 @@ def _sweep_row(args) -> list:
         else:
             z_ana = math.nan
 
-        fit, fit_omega = _fit_in_omega_time(params, psi0)
         model = "zero" if state == "zero" else "pi_unstable"
         ana = taylor_zeta2(model, lam).in_omega_time(lam)
         ana_p = (ana.p2, ana.p3, ana.p4)

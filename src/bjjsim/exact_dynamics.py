@@ -140,9 +140,9 @@ def band_spectrum(params: ModelParams) -> Spectrum:
     of the short-time fit (the kernel, fed this spectrum by
     cli._fit_in_omega_time) and the Wigner snapshots (cli.run_wigner) use
     it.  Against dense per-time samples, the fitted p4 moves by at most
-    8.3e-9 relative on this spectrum; the parity sectors move it by up to
-    2.2e-9 more, which could take it past the 1e-8 at which stored fit
-    outputs are compared.
+    8.3e-9 relative on this spectrum; the parity sectors would move it by
+    up to 6.1e-8 relative at N = 200, 3.5e-8 at N = 1000 and 9.1e-8 at
+    N = 4000, past the 1e-8 at which stored fit outputs are compared.
     """
     return _spectrum(params.n_particles, scipy.linalg.eigh_tridiagonal, *hamiltonian_bands(params))
 
@@ -228,16 +228,19 @@ def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
 
 
 def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
-    """Propagation kernel of one (H, psi0): ascending times -> records.
+    """Propagation kernel of one (H, psi0): a 1-D array of times -> records.
 
     The one witness propagator.  It works sector by sector, a sector being
     a block of H with its spectrum and psi0's coordinates in that block.
     Given a Spectrum of the whole H (band_spectrum; the short-time fit,
     cli._fit_in_omega_time), there is one sector, the Dicke basis itself.
-    Given the ModelParams (trajectory, zeta2_of_time), the sectors are the
-    even and odd blocks under m -> -m (parity_spectrum), and only those
-    psi0 occupies beyond EMPTY_SECTOR_NORM are solved: one solve of size
-    N/2+1 for the equatorial coherent states.  In each sector c = U^T p is
+    Given the ModelParams (trajectory; zeta2_of_time, which sends the
+    minimum search's whole grid in one call and its refinement one time
+    per call), the sectors are the even and odd blocks under m -> -m
+    (parity_spectrum), and only those psi0 occupies beyond
+    EMPTY_SECTOR_NORM are solved: one solve of size N/2+1 for the
+    equatorial coherent states.  The times may come in any order; each
+    call is one pass through them.  In each sector c = U^T p is
     formed once; every block of at most PROPAGATION_DOUBLES doubles of
     amplitudes is propagated as two real matrix products U Re(e^{-iwt} c)
     and U Im(e^{-iwt} c), the parity sectors are mirrored back into the
@@ -305,17 +308,21 @@ def trajectory(params: ModelParams, psi0: StateVector, times) -> list[WitnessRec
 
 
 def zeta2_of_time(params: ModelParams, psi0: StateVector):
-    """Callable t -> optimized QFI witness along the exact trajectory.
+    """Callable t -> optimized QFI witness along the exact trajectory, elementwise.
 
-    Used by minimum searches, one time per call; the propagation kernel is
+    Like a ufunc: a float time gives a float, an array of times an array
+    of zeta^2 of the same shape, in any order.  The propagation kernel is
     built once in the parity sectors psi0 occupies (one half-size
-    diagonalization for an equatorial state, c = U^T p formed once) and
-    each call is one single-time pass through it, with the kernel's
-    per-time checks.
+    diagonalization for an equatorial state, c = U^T p formed once), and
+    each call is one pass through it with all its times, every one with
+    the kernel's per-time checks.  minimize_zeta2 sends its whole grid in
+    one call and its refinement one time per call.
     """
     kernel = _witness_kernel(params, psi0)
 
-    def zeta2(t: float) -> float:
-        return kernel(np.array([t], dtype=float))[0].zeta2_opt
+    def zeta2(t):
+        ts = np.asarray(t, dtype=float)
+        z = np.array([rec.zeta2_opt for rec in kernel(ts.ravel())])
+        return float(z[0]) if ts.ndim == 0 else z.reshape(ts.shape)
 
     return zeta2

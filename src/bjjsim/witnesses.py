@@ -185,15 +185,27 @@ def fit_taylor_coeffs(
     return TaylorFit(TaylorCoeffs(*p), residual, cond)
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-4) -> tuple[float, float]:
-    """Golden-section refinement of a unimodal minimum on [lo, hi]."""
-    if hi <= lo:
-        raise ValueError("need lo < hi")
+    """Golden-section refinement of a unimodal minimum on [lo, hi].
+
+    Calls f with one float at a time.  Stops when the bracket is at most
+    tol wide, or when roundoff stops it shrinking (a tol below the spacing
+    of floats near the minimum).
+    """
+    _check_positive("tol", tol)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     while (b - a) > tol:
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -202,14 +214,27 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-4) -> tuple[floa
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = f(d)
+        if b - a >= width:
+            break
     t = c if fc < fd else d
     return t, min(fc, fd)
 
 
 def minimize_zeta2(zeta2, t_hi: float, n_grid: int = 600, tol: float = 1e-4) -> tuple[float, float]:
-    """Coarse grid scan followed by golden-section refinement of min zeta^2."""
+    """Coarse grid scan followed by golden-section refinement of min zeta^2.
+
+    zeta2 must work elementwise, as the callable of zeta2_of_time does:
+    the n_grid times in (0, t_hi] go to it as one array in one call,
+    zeta2(ts), and it returns their values.  The golden-section refinement
+    around the best grid point then calls it with one float at a time,
+    about log(2 t_hi / (n_grid tol)) / log(1.618) times.
+    """
+    _check_positive("t_hi", t_hi)
+    _check_positive("tol", tol)
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
     ts = np.linspace(0.0, t_hi, n_grid + 1)[1:]
-    vals = np.array([zeta2(t) for t in ts])
+    vals = np.asarray(zeta2(ts), dtype=float)
     i = int(np.argmin(vals))
     lo = ts[i - 1] if i > 0 else ts[0] / 2.0
     hi = ts[i + 1] if i + 1 < ts.size else ts[-1]

@@ -196,3 +196,62 @@ class TestMinimizers:
         t, f = minimize_zeta2(lambda x: np.cos(x) + 1.5, 6.0, n_grid=100, tol=1e-6)
         assert t == pytest.approx(np.pi, abs=1e-4)
         assert f == pytest.approx(0.5, abs=1e-8)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_golden_section_rejects_bad_tol_before_evaluating(self, tol):
+        def never(x):
+            raise AssertionError("evaluated")
+
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            golden_section_min(never, 0.0, 3.0, tol=tol)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1.0, 1.0), (2.0, 1.0), (float("nan"), 1.0), (0.0, float("inf"))])
+    def test_golden_section_rejects_bad_bracket(self, lo, hi):
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            golden_section_min(lambda x: x, lo, hi)
+
+    def test_golden_section_ends_when_the_bracket_stops_shrinking(self):
+        # 1e-17 is below the float spacing near the minimum at 1: the bracket
+        # stops shrinking at about 4e-16, about 76 steps down from width 3
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            assert len(calls) <= 200, "the bracket no longer shrinks"
+            return (x - 1.0) ** 2
+
+        t, fmin = golden_section_min(f, 0.0, 3.0, tol=1e-17)
+        assert t == pytest.approx(1.0, abs=1e-7)
+        assert fmin <= 1e-14
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"t_hi": float("nan")}, "t_hi must be positive and finite"),
+        ({"t_hi": float("inf")}, "t_hi must be positive and finite"),
+        ({"t_hi": 0.0}, "t_hi must be positive and finite"),
+        ({"t_hi": -1.0}, "t_hi must be positive and finite"),
+        ({"t_hi": 6.0, "tol": 0.0}, "tol must be positive and finite"),
+        ({"t_hi": 6.0, "tol": float("nan")}, "tol must be positive and finite"),
+        ({"t_hi": 6.0, "n_grid": 0}, "n_grid must be at least 1"),
+    ])
+    def test_minimize_zeta2_rejects_bad_input_before_evaluating(self, kwargs, message):
+        def never(ts):
+            raise AssertionError("evaluated")
+
+        with pytest.raises(ValueError, match=message):
+            minimize_zeta2(never, **kwargs)
+
+    def test_minimize_zeta2_sends_the_grid_in_one_call(self):
+        calls = []
+
+        def f(ts):
+            calls.append(np.shape(ts))
+            return np.cos(ts) + 1.5
+
+        t, _ = minimize_zeta2(f, 6.0, n_grid=100, tol=1e-6)
+        assert t == pytest.approx(np.pi, abs=1e-4)
+        assert calls[0] == (100,) and set(calls[1:]) == {()}
+
+    def test_minimize_zeta2_single_grid_point(self):
+        t, f = minimize_zeta2(lambda x: (x - 2.0) ** 2, 3.0, n_grid=1, tol=1e-8)
+        assert t == pytest.approx(2.0, abs=1e-4)
