@@ -21,19 +21,18 @@ import numpy as np
 
 from . import phase_model
 from .wigner import separatrix as separatrix_curve, wigner as wigner_grid
-from .exact_dynamics import _witness_kernel, band_spectrum, evolve, trajectory, zeta2_of_time
+from .exact_dynamics import _witness_kernel, band_spectrum, trajectory, zeta2_of_time
 from .oat import oat_trajectory
 from .output import GridRows, write_table
 from .spin_core import ModelParams, StateVector, coherent_state
 from .witnesses import (
     fit_taylor_coeffs,
+    fit_times,
     make_record,
     minimize_zeta2,
     ratio_R,
     taylor_zeta2,
     zeta2_min,
-    FIT_SAMPLES,
-    FIT_WINDOW,
 )
 
 ENV_OUT_DIR = "BJJ_OUT_DIR"
@@ -46,9 +45,11 @@ ENV_OUT_DIR = "BJJ_OUT_DIR"
 MAX_N = 4000
 #: Largest particle number for `wigner`.  The tensor-operator table behind
 #: the multipoles holds about (N+1)^3/3 doubles for the life of the process
-#: (8 (N+1)^3 / 3 bytes), and the default grid grows with N as well: at
-#: N = 500 the table's construction peaks at 329 MiB and one snapshot runs
-#: at 473 MiB peak RSS; the table alone reaches 1 GiB near N = 736.
+#: (8 (N+1)^3 / 3 bytes), and the default grid grows with N as well; the
+#: snapshot states cost only the even block, (N/2+1)^2 doubles.  At
+#: N = 500 the table's construction peaks at 333 MiB above the imported
+#: package (394 MiB RSS), and one snapshot runs in 18 s at 471 MiB peak
+#: RSS (one BLAS thread); the table alone reaches 1 GiB near N = 736.
 WIGNER_MAX_N = 500
 
 EVOLVE_COLUMNS = (
@@ -152,13 +153,13 @@ def dimensionless_frequency(cfg: RunConfig) -> float:
 def _analytic_row(cfg: RunConfig, t: float) -> tuple:
     p = cfg.params
     lam = p.lam
-    if cfg.initial_state == "pi":
-        if phase_model.omega_pi_squared(lam, p.n_particles) > 0.0:
-            gamma, jx_half = phase_model.cov_stable_pi(t, lam, p.n_particles, p.omega)
-        else:
-            gamma, jx_half = phase_model.cov_unstable_pi(t, lam, p.n_particles, p.omega)
+    if cfg.initial_state == "zero":
+        cov = phase_model.cov_zero
+    elif phase_model.pi_branch(lam, p.n_particles) == "stable":
+        cov = phase_model.cov_stable_pi
     else:
-        gamma, jx_half = phase_model.cov_zero(t, lam, p.n_particles, p.omega)
+        cov = phase_model.cov_unstable_pi
+    gamma, jx_half = cov(t, lam, p.n_particles, p.omega)
     rec = make_record(t, jx_half * p.n_particles / 2.0, gamma, p.n_particles)
     return (rec.jx_mean, gamma.gzz, gamma.gyy, gamma.gyz,
             rec.lambda_plus, rec.lambda_minus, rec.xi2_opt, rec.zeta2_opt)
@@ -169,8 +170,11 @@ def _validate_compare(cfg: RunConfig):
         p = cfg.params
         if p.omega == 0.0:
             raise ConfigError("analytic comparison needs a coupled run (omega > 0)")
-        if cfg.initial_state == "pi" and abs(p.lam - 1.0) < phase_model.CRITICAL_MARGIN:
-            raise ConfigError("analytic pi-state comparison undefined at the critical point lam = 1")
+        if cfg.initial_state == "pi" and phase_model.pi_branch(p.lam, p.n_particles) is None:
+            raise ConfigError(
+                f"analytic pi-state comparison undefined at lam = {p.lam}, N = {p.n_particles}: "
+                f"it needs lam < N/(N+1) or lam > 1 + {phase_model.CRITICAL_MARGIN}"
+            )
 
 
 def run_evolve(cfg: RunConfig) -> list[Path]:
@@ -204,9 +208,8 @@ def run_evolve(cfg: RunConfig) -> list[Path]:
 def _fit_in_omega_time(params: ModelParams, psi0: StateVector):
     """Protocol fit of the exact trajectory, reported in powers of omega*t."""
     n, chi = params.n_particles, params.chi
-    times = np.concatenate([[0.0], FIT_WINDOW * np.arange(1, FIT_SAMPLES + 1) / FIT_SAMPLES / (n * chi)])
     # one kernel call on the full solve; see band_spectrum for why not parity_spectrum
-    fit = fit_taylor_coeffs(_witness_kernel(band_spectrum(params), psi0)(times), n, chi)
+    fit = fit_taylor_coeffs(_witness_kernel(band_spectrum(params), psi0)(fit_times(n, chi)), n, chi)
     return fit, fit.coeffs.in_omega_time(params.lam) if params.omega > 0 else None
 
 
@@ -220,16 +223,16 @@ def _sweep_row(args) -> list:
         # fit first: after the search, its full solve would peak on top of the search's freed blocks
         fit, fit_omega = _fit_in_omega_time(params, psi0)
         freq = dimensionless_frequency(cfg)
-        stable = state == "zero" or phase_model.omega_pi_squared(lam, n) > 0.0
+        regime = "zero" if state == "zero" else phase_model.pi_branch(lam, n)
         # stable regimes: cover the first witness minimum near 2 w t = pi
-        t_hi = 1.25 * math.pi / freq if stable else 1.5 / freq
+        t_hi = 1.25 * math.pi / freq if regime in ("zero", "stable") else 1.5 / freq
         t_min, z_min = minimize_zeta2(zeta2_of_time(params, psi0), t_hi, tol=1e-4 / freq)
 
-        if state == "zero":
+        if regime == "zero":
             z_ana = zeta2_min("zero", lam)
-        elif lam < 1.0:
+        elif regime == "stable":
             z_ana = zeta2_min("stable_pi", lam)
-        else:
+        else:  # the unstable branch and the window between the branches
             z_ana = math.nan
 
         model = "zero" if state == "zero" else "pi_unstable"
@@ -277,15 +280,17 @@ def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = No
     if want_separatrix and not has_separatrix:
         raise ConfigError(f"no separatrix through (pi, 0) for lam = {lam}")
     emit_separatrix = has_separatrix if want_separatrix is None else want_separatrix
-    if p.n_particles > WIGNER_MAX_N:
-        raise ConfigError(f"N = {p.n_particles} exceeds the Wigner limit N <= {WIGNER_MAX_N}")
+    n = p.n_particles
+    if n > WIGNER_MAX_N:
+        raise ConfigError(f"N = {n} exceeds the Wigner limit N <= {WIGNER_MAX_N}")
 
-    psi0 = initial_state_vector(cfg)
-    spec = band_spectrum(p)
+    # every snapshot from one kernel call, in the parity sectors psi0 occupies
+    blocks = _witness_kernel(p, initial_state_vector(cfg)).states(np.array(snapshot_times))
+    states = (StateVector(n, amp) for _, re, im in blocks for amp in re + 1j * im)
     written: list[Path] = []
     try:
-        for i, t in enumerate(snapshot_times):
-            grid = wigner_grid(evolve(spec, psi0, t))
+        for i, psi in enumerate(states):
+            grid = wigner_grid(psi)
             rows = GridRows(
                 (grid.theta_samples, grid.phi_samples), (grid.values, grid.peak_normalized())
             )

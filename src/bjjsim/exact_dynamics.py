@@ -3,10 +3,11 @@
 This is the ground-truth path against which every analytic result in the
 package is measured.  The Hamiltonian chi*Jz^2 - omega*Jx is real symmetric
 tridiagonal in the Dicke basis, so the full spectrum costs O(N^2).  It
-also commutes with the mode exchange m -> -m, so trajectories and the
-minimum search propagate in its even and odd blocks (parity_spectrum), and
-only in those the initial state occupies: the equatorial coherent states
-are even, which takes one solve and one propagation of size N/2+1.
+also commutes with the mode exchange m -> -m, so trajectories, the
+minimum search and the Wigner snapshots propagate in its even and odd
+blocks (parity_spectrum), and only in those the initial state occupies:
+the equatorial coherent states are even, which takes one solve and one
+propagation of size N/2+1.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ class Spectrum:
     """Eigendecomposition: ascending eigenvalues and orthonormal columns.
 
     Either of the whole H in the Dicke basis (band_spectrum, one solve of
-    size N+1: the short-time fit samples and the Wigner snapshots) or of
-    one block of H under m -> -m in that block's coordinates
-    (parity_spectrum, size N/2+1 or N/2: trajectory and zeta2_of_time,
-    through the propagation kernel _witness_kernel); dim is the size of
-    the matrix solved.  The two routes agree to roundoff, but the fit
+    size N+1: only the short-time fit samples) or of one block of H under
+    m -> -m in that block's coordinates (parity_spectrum, size N/2+1 or
+    N/2: trajectory, zeta2_of_time and the Wigner snapshots); both feed
+    the propagation kernel _witness_kernel, and dim is the size of the
+    matrix solved.  The two routes agree to roundoff, but the fit
     amplifies that roundoff in p4 beyond the tolerance its stored outputs
     are checked at, so it keeps the full solve.
     """
@@ -136,10 +137,10 @@ def eigendecompose(op: CollectiveOperator) -> Spectrum:
 def band_spectrum(params: ModelParams) -> Spectrum:
     """Spectrum of H from its bands in one (N+1)-point solve, without the dense matrix.
 
-    Bit for bit equal to eigendecompose(hamiltonian(params)).  The samples
-    of the short-time fit (the kernel, fed this spectrum by
-    cli._fit_in_omega_time) and the Wigner snapshots (cli.run_wigner) use
-    it.  Against dense per-time samples, the fitted p4 moves by at most
+    Bit for bit equal to eigendecompose(hamiltonian(params)).  Only the
+    samples of the short-time fit use it (the kernel, fed this spectrum by
+    cli._fit_in_omega_time); every other run path propagates in the parity
+    sectors.  Against dense per-time samples, the fitted p4 moves by at most
     8.3e-9 relative on this spectrum; the parity sectors would move it by
     up to 6.1e-8 relative at N = 200, 3.5e-8 at N = 1000 and 9.1e-8 at
     N = 4000, past the 1e-8 at which stored fit outputs are compared.
@@ -230,24 +231,26 @@ def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
 def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
     """Propagation kernel of one (H, psi0): a 1-D array of times -> records.
 
-    The one witness propagator.  It works sector by sector, a sector being
-    a block of H with its spectrum and psi0's coordinates in that block.
-    Given a Spectrum of the whole H (band_spectrum; the short-time fit,
+    The one propagator.  It works sector by sector, a sector being a block
+    of H with its spectrum and psi0's coordinates in that block.  Given a
+    Spectrum of the whole H (band_spectrum; only the short-time fit,
     cli._fit_in_omega_time), there is one sector, the Dicke basis itself.
     Given the ModelParams (trajectory; zeta2_of_time, which sends the
     minimum search's whole grid in one call and its refinement one time
-    per call), the sectors are the even and odd blocks under m -> -m
-    (parity_spectrum), and only those psi0 occupies beyond
-    EMPTY_SECTOR_NORM are solved: one solve of size N/2+1 for the
-    equatorial coherent states.  The times may come in any order; each
-    call is one pass through them.  In each sector c = U^T p is
-    formed once; every block of at most PROPAGATION_DOUBLES doubles of
+    per call; the Wigner snapshots of cli.run_wigner), the sectors are the
+    even and odd blocks under m -> -m (parity_spectrum), and only those
+    psi0 occupies beyond EMPTY_SECTOR_NORM are solved: one solve of size
+    N/2+1 for the equatorial coherent states.  The times may come in any
+    order; each call is one pass through them.  In each sector c = U^T p
+    is formed once; every block of at most PROPAGATION_DOUBLES doubles of
     amplitudes is propagated as two real matrix products U Re(e^{-iwt} c)
-    and U Im(e^{-iwt} c), the parity sectors are mirrored back into the
-    Dicke basis (_from_parity, O(N) per time), and the moments are O(N)
-    band reductions per time (spin_core.band_moments).  Each time passes
-    the checks of the dense reference (evolve, covariance_yz, make_record)
-    and fails with the same ValueError.
+    and U Im(e^{-iwt} c), and the parity sectors are mirrored back into
+    the Dicke basis (_from_parity, O(N) per time).  records.states(times)
+    yields those blocks, (times, Re psi, Im psi) with one state per row in
+    the Dicke basis; records(times) reduces them to moments by O(N) band
+    arithmetic per time (spin_core.band_moments), and each time passes the
+    checks of the dense reference (evolve, covariance_yz, make_record) and
+    fails with the same ValueError.
     """
     n = psi0.n_particles
     if isinstance(source, Spectrum):
@@ -264,19 +267,22 @@ def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
     sectors = [(w, u, p.real @ u, p.imag @ u) for w, u, p in sectors]
     chunk = max(1, PROPAGATION_DOUBLES // (2 * psi0.dim))
 
-    def propagate(ts: np.ndarray):
-        # rows are states: psi(t) = (e^{-iwt} * c) U^T in each sector
-        for energies, u, c_re, c_im in sectors:
-            phase = np.outer(ts, energies)
-            cos, sin = np.cos(phase), np.sin(phase)
-            yield (cos * c_re + sin * c_im) @ u.T, (cos * c_im - sin * c_re) @ u.T
+    def states(times: np.ndarray):
+        for start in range(0, times.size, chunk):
+            ts = times[start : start + chunk]
+            re, im = [], []
+            # rows are states: psi(t) = (e^{-iwt} * c) U^T in each sector
+            for energies, u, c_re, c_im in sectors:
+                phase = np.outer(ts, energies)
+                cos, sin = np.cos(phase), np.sin(phase)
+                re.append((cos * c_re + sin * c_im) @ u.T)
+                im.append((cos * c_im - sin * c_re) @ u.T)
+            yield ts, embed(re), embed(im)
 
     def records(times: np.ndarray) -> list[WitnessRecord]:
         out = []
-        for start in range(0, times.size, chunk):
-            ts = times[start : start + chunk]
-            re, im = zip(*propagate(ts))
-            mom = band_moments(n, embed(re), embed(im))
+        for ts, re, im in states(times):
+            mom = band_moments(n, re, im)
             for t, norm, jx, jy, jz, gzz, gyy, gyz in zip(ts.tolist(), *(x.tolist() for x in mom)):
                 check_normalized(norm)
                 check_first_moments(jy, jz, n)
@@ -284,6 +290,7 @@ def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
                 out.append(make_record(t, jx, gamma, n))
         return out
 
+    records.states = states
     return records
 
 

@@ -86,6 +86,21 @@ def omega_zero_squared(lam: float, n_particles: int) -> float:
     return 1.0 + lam * (1.0 + 1.0 / n_particles)
 
 
+def pi_branch(lam: float, n_particles: int) -> str | None:
+    """Closed-form branch around pi at (lam, N): "stable", "unstable" or None.
+
+    cov_stable_pi needs a confining well, (w_pi)^2 > 0, i.e. lam < N/(N+1);
+    cov_unstable_pi needs lam > 1 + CRITICAL_MARGIN.  In the window
+    N/(N+1) <= lam <= 1 + CRITICAL_MARGIN (and for lam <= 0) neither
+    applies, and the answer is None.
+    """
+    if lam > 1.0 + CRITICAL_MARGIN:
+        return "unstable"
+    if 0.0 < lam < 1.0 - CRITICAL_MARGIN and omega_pi_squared(lam, n_particles) > 0.0:
+        return "stable"
+    return None
+
+
 def _packet_params(t, lam, n_particles, omega, w2, a_init):
     """Ground-state quench of the Gaussian packet in the harmonic phase well.
 

@@ -171,9 +171,6 @@ class CovarianceYZ:
         if self.gzz < -1e-10 or self.gyy < -1e-10:
             raise ValueError(f"diagonal covariance entries must be nonnegative: {self}")
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.gzz, self.gyz], [self.gyz, self.gyy]])
-
 
 @lru_cache(maxsize=None)
 def build_spin_operators(n_particles: int) -> tuple[CollectiveOperator, CollectiveOperator, CollectiveOperator]:

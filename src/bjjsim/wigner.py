@@ -191,27 +191,6 @@ def density_multipoles(psi: StateVector) -> dict[tuple[int, int], complex]:
     return {(k, q): complex(rho[k, q]) for k in range(n + 1) for q in range(-k, k + 1)}
 
 
-def _theta_profiles(rho: np.ndarray, thetas: np.ndarray):
-    """Yield (slice, profiles) over chunks of theta, profiles[i, q] = sum_k rho_kq Y_kq(theta_i, 0).
-
-    The spherical Legendre table costs (N+1)(2N+1) doubles per angle, so it
-    is built for at most TABLE_DOUBLES // ((N+1)(2N+1)) angles at a time.
-    """
-    n = rho.shape[0] - 1
-    step = max(1, TABLE_DOUBLES // rho.size)
-    for start in range(0, thetas.size, step):
-        sl = slice(start, start + step)
-        table = sph_legendre_p_all(n, n, thetas[sl])[0]  # (k, q, theta)
-        yield sl, (
-            np.einsum("kqt,kq->tq", table, rho.real) + 1j * np.einsum("kqt,kq->tq", table, rho.imag)
-        )
-
-
-def _orders(n: int) -> np.ndarray:
-    """Azimuthal orders in the column layout of _multipole_array."""
-    return np.concatenate([np.arange(n + 1), np.arange(-n, 0)])
-
-
 def wigner(psi: StateVector, n_theta: int | None = None, n_phi: int | None = None) -> SphereGrid:
     """Wigner distribution W = sum_kq rho_kq Y_kq, integral-normalized.
 
@@ -229,9 +208,18 @@ def wigner(psi: StateVector, n_theta: int | None = None, n_phi: int | None = Non
 
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(-np.pi, np.pi, n_phi, endpoint=False)
-    phase = np.exp(1j * np.outer(_orders(n), phis))
+    # azimuthal orders in the column layout of _multipole_array
+    orders = np.concatenate([np.arange(n + 1), np.arange(-n, 0)])
+    phase = np.exp(1j * np.outer(orders, phis))
+    rho = _multipole_array(psi)
     w = np.empty((n_theta, n_phi), dtype=complex)
-    for sl, prof in _theta_profiles(_multipole_array(psi), thetas):
+    # the Legendre table costs (N+1)(2N+1) doubles per theta; at most TABLE_DOUBLES at once
+    step = max(1, TABLE_DOUBLES // rho.size)
+    for start in range(0, n_theta, step):
+        sl = slice(start, start + step)
+        table = sph_legendre_p_all(n, n, thetas[sl])[0]  # (k, q, theta)
+        # theta profiles: sum_k rho_kq Y_kq(theta, 0), one column per q
+        prof = np.einsum("kqt,kq->tq", table, rho.real) + 1j * np.einsum("kqt,kq->tq", table, rho.imag)
         w[sl] = prof @ phase
     residue = np.abs(w.imag).max()
     if residue > IMAG_RESIDUE_TOL:
@@ -239,34 +227,6 @@ def wigner(psi: StateVector, n_theta: int | None = None, n_phi: int | None = Non
     # unit solid-angle integral: the k = 0 multipole alone carries the trace
     scale = np.sqrt((n + 1) / (4.0 * np.pi))
     return SphereGrid(thetas, phis, w.real * scale)
-
-
-def wigner_at(psi: StateVector, theta, phi) -> np.ndarray:
-    """Integral-normalized Wigner values at arbitrary sphere points.
-
-    Points that share theta share one theta profile, so the Legendre tables
-    cost one column per distinct theta; the e^{i q phi} block is formed for
-    at most TABLE_DOUBLES // (2(2N+1)) points at a time.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if theta.shape != phi.shape:
-        raise ValueError("theta and phi must have matching shapes")
-    n = psi.n_particles
-    orders = _orders(n)
-    thetas, which = np.unique(theta.ravel(), return_inverse=True)
-    order = np.argsort(which, kind="stable")  # points grouped by theta, ascending
-    grouped = which[order]
-    flat_phi = phi.ravel()
-    step = max(1, TABLE_DOUBLES // (2 * orders.size))
-    w = np.empty(theta.size)
-    for sl, prof in _theta_profiles(_multipole_array(psi), thetas):
-        lo, hi = np.searchsorted(grouped, [sl.start, sl.stop])
-        for start in range(lo, hi, step):
-            idx = order[start : min(start + step, hi)]
-            phase = np.exp(1j * np.outer(flat_phi[idx], orders))
-            w[idx] = np.einsum("iq,iq->i", prof[which[idx] - sl.start], phase).real
-    return w.reshape(theta.shape) * np.sqrt((n + 1) / (4.0 * np.pi))
 
 
 def _separatrix_z(phi: np.ndarray, lam: float) -> np.ndarray:

@@ -16,8 +16,9 @@ import numpy as np
 
 from .spin_core import CovarianceYZ, lambda_pm
 
-#: Fit protocol defaults: two guard orders above the highest reported
-#: coefficient; window keeps the series remainder below 1/N at N ~ 200.
+#: Fit protocol: two guard orders above the highest reported coefficient;
+#: the window keeps the series remainder below 1/N at N ~ 200; FIT_SAMPLES
+#: equal steps in x = N chi t up to the window (fit_times).
 FIT_DEGREE = 6
 FIT_WINDOW = 0.2
 FIT_SAMPLES = 64
@@ -146,43 +147,42 @@ def zeta2_min(regime: str, lam: float) -> float:
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def fit_taylor_coeffs(
-    records,
-    n_particles: int,
-    chi: float,
-    degree: int = FIT_DEGREE,
-    window: float = FIT_WINDOW,
-) -> TaylorFit:
-    """Least-squares polynomial in x = N chi t with the constant pinned to 1.
+def fit_times(n_particles: int, chi: float) -> np.ndarray:
+    """The protocol's sample times: t = 0, then FIT_SAMPLES equal steps up to x = FIT_WINDOW."""
+    steps = FIT_WINDOW * np.arange(1, FIT_SAMPLES + 1) / FIT_SAMPLES / (n_particles * chi)
+    return np.concatenate([[0.0], steps])
 
-    Fits zeta^2(x) - 1 on the samples with 0 < x <= window; the fit is done
-    in the rescaled variable u = x/window to keep the design matrix well
-    conditioned, then mapped back.  Requires records starting at t = 0 (the
-    shot-noise reference pinning the constant term).
+
+def fit_taylor_coeffs(records, n_particles: int, chi: float) -> TaylorFit:
+    """Least-squares polynomial of degree FIT_DEGREE in x = N chi t, constant pinned to 1.
+
+    Fits zeta^2(x) - 1 on the samples with 0 < x <= FIT_WINDOW; the fit is
+    done in the rescaled variable u = x/FIT_WINDOW to keep the design
+    matrix well conditioned, then mapped back.  Requires records starting
+    at t = 0 (the shot-noise reference pinning the constant term), as the
+    records at fit_times do.
     """
     records = list(records)
     if not records or records[0].t != 0.0:
         raise ValueError("records must start at t = 0")
     x = np.array([r.t * n_particles * chi for r in records])
     z = np.array([r.zeta2_opt for r in records])
-    inside = (x > 0.0) & (x <= window)
-    if inside.sum() < degree + 2:
+    inside = (x > 0.0) & (x <= FIT_WINDOW)
+    if inside.sum() < FIT_DEGREE + 2:
         raise ValueError(
-            f"need at least {degree + 2} samples in (0, {window}], found {inside.sum()}"
+            f"need at least {FIT_DEGREE + 2} samples in (0, {FIT_WINDOW}], found {inside.sum()}"
         )
-    u = x[inside] / window
-    design = np.vander(u, degree + 1, increasing=True)[:, 1:]
+    u = x[inside] / FIT_WINDOW
+    design = np.vander(u, FIT_DEGREE + 1, increasing=True)[:, 1:]
     cond = np.linalg.cond(design)
     if cond > CONDITION_LIMIT:
         raise RuntimeError(f"ill-conditioned design matrix: cond = {cond:.3e}")
     sol, res, *_ = np.linalg.lstsq(design, z[inside] - 1.0, rcond=None)
-    coeff = sol / window ** np.arange(1, degree + 1)
+    coeff = sol / FIT_WINDOW ** np.arange(1, FIT_DEGREE + 1)
     residual = float(np.sqrt(res[0])) if res.size else float(
         np.linalg.norm(design @ sol - (z[inside] - 1.0))
     )
-    p = np.zeros(4)
-    p[: min(4, degree)] = coeff[:4]
-    return TaylorFit(TaylorCoeffs(*p), residual, cond)
+    return TaylorFit(TaylorCoeffs(*coeff[:4]), residual, cond)
 
 
 def _check_positive(name: str, value: float) -> None:

@@ -12,6 +12,7 @@ import bjjsim.cli
 import bjjsim.exact_dynamics
 import bjjsim.spin_core
 from bjjsim.cli import (
+    ANALYTIC_COLUMNS,
     MAX_N,
     SWEEP_COLUMNS,
     WIGNER_MAX_N,
@@ -96,6 +97,28 @@ class TestEvolve:
         with pytest.raises(ConfigError):
             run_evolve(cfg)
 
+    @pytest.mark.parametrize("lam", [0.996, 0.9999, 1.0 + 5e-7])
+    def test_analytic_compare_rejected_between_the_pi_branches(self, tmp_path, capsys, monkeypatch, lam):
+        # N/(N+1) <= lam <= 1 + 1e-6: no closed form applies; refused before propagating
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagated")
+
+        monkeypatch.setattr(bjjsim.cli, "trajectory", refuse)
+        rc = main(["evolve", "--n", "200", "--lambda", repr(lam), "--compare", "analytic",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "analytic pi-state comparison undefined" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("lam", [0.99, 1.01])
+    def test_analytic_compare_either_side_of_the_window(self, tmp_path, lam):
+        rc = main(["evolve", "--n", "200", "--lambda", repr(lam), "--steps", "20",
+                   "--compare", "analytic", "--out", str(tmp_path)])
+        assert rc == 0
+        header, rows = read_csv(tmp_path / "evolve.csv")
+        assert header[-len(ANALYTIC_COLUMNS):] == list(ANALYTIC_COLUMNS)
+        assert all(math.isfinite(float(x)) for row in rows for x in row[-len(ANALYTIC_COLUMNS):])
+
 
 class TestSweep:
     def test_rows_ordered_and_complete(self, tmp_path):
@@ -109,6 +132,15 @@ class TestSweep:
         row2 = dict(zip(header, rows[1]))
         assert math.isnan(float(row2["zeta2_min_analytic"]))
         assert float(row2["r_analytic"]) == pytest.approx(4.0 / 3.0)
+
+    def test_row_between_the_pi_branches_has_no_analytic_minimum(self, tmp_path):
+        # lam = 0.997 >= N/(N+1) at N = 200: as for lam > 1, no closed-form minimum
+        cfg = SweepConfig(lambda_grid=(0.997,), base=small_cfg(tmp_path, params=ModelParams.coupled(200, 0.997)))
+        header, rows = read_csv(run_sweep(cfg)[0])
+        row = dict(zip(header, rows[0]))
+        assert row["status"] == "ok"
+        assert math.isnan(float(row["zeta2_min_analytic"]))
+        assert math.isfinite(float(row["zeta2_min_numeric"]))
 
     def test_grid_validation(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -227,7 +259,8 @@ class TestParticleLimit:
         assert not any(tmp_path.iterdir())
 
     def test_wigner_limit_admits_its_bound(self, tmp_path, no_dense_operators):
-        # the guard passes N = WIGNER_MAX_N on to the spectrum, which the fixture refuses
+        # the guard passes N = WIGNER_MAX_N on: the kernel's even-block solve and
+        # propagation run, and the refusal comes from wigner_grid, which the fixture refuses
         cfg = small_cfg(tmp_path, params=ModelParams.coupled(WIGNER_MAX_N, 2.0))
         with pytest.raises(AssertionError, match="a dense operator was built"):
             run_wigner(cfg, [0.5])

@@ -264,6 +264,26 @@ class TestClosedFormCovariances:
             pm.cov_zero(0.1, -0.5, N)
 
 
+    @pytest.mark.parametrize("n", [2, N, 4000])
+    def test_pi_branch_is_the_closed_forms_domain(self, n):
+        # "stable" exactly where cov_stable_pi accepts lam, "unstable" where
+        # cov_unstable_pi does, None in the window N/(N+1) <= lam <= 1 + 1e-6
+        edge = n / (n + 1)
+        lams = [0.0, 0.3, 0.99 * edge, edge - 1e-9, edge, edge + 1e-9, 0.996, 0.9999,
+                1.0, 1.0 + 5e-7, 1.0 + pm.CRITICAL_MARGIN, 1.0 + 2e-6, 1.01, 3.0]
+        for lam in lams:
+            accepts = []
+            for closed in (pm.cov_stable_pi, pm.cov_unstable_pi):
+                try:
+                    closed(0.1, lam, n)
+                    accepts.append(True)
+                except ValueError:
+                    accepts.append(False)
+            want = {(True, False): "stable", (False, True): "unstable", (False, False): None}
+            assert pm.pi_branch(lam, n) == want[tuple(accepts)], lam
+        assert pm.pi_branch(0.996, N) is None and pm.pi_branch(0.99, N) == "stable"
+
+
 def exact_gamma(params, psi0, t, spec=None, jx_op=None):
     spec = spec or eigendecompose(hamiltonian(params))
     psi_t = evolve(spec, psi0, t)

@@ -2,8 +2,9 @@
 
 `trajectory`, the callable of `zeta2_of_time` and the short-time fit
 samples propagate with real matrix products and reduce the moments with
-band arithmetic, through one kernel; no run path builds the dense
-operators.  The reference `dense_witness_of_time`, built here from the
+band arithmetic, through one kernel, whose Dicke-basis states also give
+the Wigner snapshots; no run path builds the dense operators or calls
+evolve.  The reference `dense_witness_of_time`, built here from the
 public dense functions, runs evolve, covariance_yz and expectation on
 band_spectrum, one time per call.  The two sum in different orders and
 propagate with different eigensolves, so records agree to a tolerance
@@ -13,8 +14,8 @@ accumulate over t (propagation_rtol); fitted coefficients agree to a
 bound set from the measured gap.  The parity blocks (parity_spectrum)
 are checked as a spectrum of H on their own, the kernel in the parity
 sectors against the kernel on band_spectrum, with its eigensolves
-counted, and at N = 1000 the kernel is checked against scipy's
-expm_multiply.
+counted, its states against evolve, and at N = 1000 the kernel against
+scipy's expm_multiply.
 """
 
 import csv
@@ -40,6 +41,7 @@ from bjjsim.cli import (
     run_fit,
     run_oat_compare,
     run_sweep,
+    run_wigner,
 )
 from bjjsim.exact_dynamics import (
     _from_parity,
@@ -63,7 +65,8 @@ from bjjsim.spin_core import (
     covariance_yz,
     expectation,
 )
-from bjjsim.witnesses import FIT_SAMPLES, FIT_WINDOW, fit_taylor_coeffs, make_record, minimize_zeta2
+from bjjsim.wigner import _tensor_components
+from bjjsim.witnesses import fit_taylor_coeffs, fit_times, make_record, minimize_zeta2
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -188,15 +191,16 @@ def test_fit_on_kernel_matches_dense_fit(model, lam):
     else:
         params, phi = ModelParams.coupled(n, lam), math.pi if model == "pi" else 0.0
     psi0 = coherent_state(n, math.pi / 2, phi)
-    times = np.concatenate([[0.0], FIT_WINDOW * np.arange(1, FIT_SAMPLES + 1) / FIT_SAMPLES / (n * params.chi)])
     record = dense_witness_of_time(params, psi0)
-    want = np.array(fit_taylor_coeffs([record(float(t)) for t in times], n, params.chi).coeffs.as_tuple())
+    records = [record(float(t)) for t in fit_times(n, params.chi)]
+    want = np.array(fit_taylor_coeffs(records, n, params.chi).coeffs.as_tuple())
     got = np.array(_fit_in_omega_time(params, psi0)[0].coeffs.as_tuple())
     assert np.all(np.abs(got - want) <= 2e-9 * np.maximum(1.0, np.abs(want))), (got, want)
 
 
 def test_run_paths_build_no_dense_operators(monkeypatch, tmp_path):
-    # every subcommand but wigner runs on the band kernel alone
+    # the trajectory, fit and sweep commands run on the band kernel alone
+    # (wigner: test_wigner_snapshots_come_from_one_even_block_solve)
     def refuse(*args, **kwargs):
         raise AssertionError("a dense operator path ran")
 
@@ -383,6 +387,46 @@ def test_batched_zeta2_matches_single_times(phi):
                        (zeta2(grid), grid.shape)):
         assert got.shape == shape
         assert np.all(np.abs(got.ravel() - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+@PROPERTY
+@given(n=even_n, lam=lams, phi=phis, times=time_grids)
+@example(n=96, lam=2.9, phi=math.pi, times=[10.85, 10.9])
+def test_kernel_states_match_dense_evolve(n, lam, phi, times):
+    # the kernel's mirrored Dicke-basis states against evolve on the full solve
+    params = ModelParams.coupled(n, lam)
+    psi0 = coherent_state(n, math.pi / 2, phi)
+    blocks = list(_witness_kernel(params, psi0).states(np.array(times)))
+    ts = np.concatenate([b[0] for b in blocks])
+    got = np.concatenate([re + 1j * im for _, re, im in blocks])
+    assert np.array_equal(ts, times) and got.shape == (len(times), n + 1)
+    spec = band_spectrum(params)
+    for t, amp, tol in zip(times, got, np.broadcast_to(propagation_rtol(params, times), len(times))):
+        assert np.linalg.norm(amp - evolve(spec, psi0, t).amplitudes) <= tol
+
+
+@pytest.mark.parametrize("state", ["pi", "zero"])
+def test_wigner_snapshots_come_from_one_even_block_solve(monkeypatch, tmp_path, state):
+    # all snapshots from one kernel call: one eigh_tridiagonal of size N/2+1,
+    # neither the full solve nor dense evolve
+    n = 40
+    _tensor_components(n)  # the multipoles' own (cached) eigensolves, made before counting
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full solve or dense evolve ran")
+
+    for name, module in list(sys.modules.items()):
+        if name == "bjjsim" or name.startswith("bjjsim."):
+            for attr in ("band_spectrum", "evolve"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    sizes = count_eigensolves(monkeypatch)
+    cfg = RunConfig(params=ModelParams.coupled(n, 2.0), initial_state=state, out_dir=tmp_path)
+    paths = run_wigner(cfg, [0.5, 1.5])
+    assert sizes == [n // 2 + 1]
+    assert sorted(p.name for p in paths) == ["separatrix.csv", "wigner_t00.csv", "wigner_t01.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["separatrix.csv", "wigner_t00.csv",
+                                                           "wigner_t01.csv"]
 
 
 @pytest.mark.parametrize("state", ["pi", "zero"])

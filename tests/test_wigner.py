@@ -18,7 +18,6 @@ from bjjsim.wigner import (
     mean_field_energy,
     separatrix,
     wigner,
-    wigner_at,
 )
 
 N = 30
@@ -102,31 +101,23 @@ class TestWignerGrid:
             wigner(coherent_state(N, 0.0, 0.0), n_theta=30, n_phi=30)
 
     def test_rotational_covariance_about_x(self):
-        # chi = 0 generates a rigid rotation about x: evolving the state and
-        # rotating the sphere points give the same Wigner values
+        # chi = 0 generates a rigid rotation about x: the evolved state is the
+        # coherent state at the Bloch direction rotated about x by -omega t
         params = ModelParams(N, chi=0.0, omega=1.0)
         spec = eigendecompose(hamiltonian(params))
-        psi0 = coherent_state(N, np.pi / 2 - 0.4, 0.9)
-        t = 0.7
-        psi_t = evolve(spec, psi0, t)
+        theta0, phi0, t = np.pi / 2 - 0.4, 0.9, 0.7
+        w_evolved = wigner(evolve(spec, coherent_state(N, theta0, phi0), t)).values
 
-        thetas = np.linspace(0.2, np.pi - 0.2, 11)
-        phis = np.linspace(-np.pi, np.pi, 13, endpoint=False)
-        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-        w_evolved = wigner_at(psi_t, tt.ravel(), pp.ravel())
-
-        # rotate the evaluation points about x by the inverse angle
-        x = np.sin(tt) * np.cos(pp)
-        y = np.sin(tt) * np.sin(pp)
-        z = np.cos(tt)
-        alpha = t  # omega * t, with the sense fixed by the Jx generator
+        x = np.sin(theta0) * np.cos(phi0)
+        y = np.sin(theta0) * np.sin(phi0)
+        z = np.cos(theta0)
+        alpha = -t  # H = -omega Jx propagates with exp(+i omega t Jx), omega = 1
         y_r = np.cos(alpha) * y - np.sin(alpha) * z
         z_r = np.sin(alpha) * y + np.cos(alpha) * z
-        theta_r = np.arccos(np.clip(z_r, -1.0, 1.0))
-        phi_r = np.arctan2(y_r, x)
-        w_rotated = wigner_at(psi0, theta_r.ravel(), phi_r.ravel())
+        w_rotated = wigner(coherent_state(N, np.arccos(z_r), np.arctan2(y_r, x))).values
 
-        assert np.abs(w_evolved - w_rotated).max() < 1e-6
+        # the whole 181 x 361 grids agree to 1.6e-14 (peak 4.8)
+        assert np.abs(w_evolved - w_rotated).max() < 1e-12
 
 
 def evolved_state(n, lam=2.0, t=0.9):
@@ -163,29 +154,11 @@ class TestWignerKernel:
         ref = direct_wigner(psi, grid.theta_samples[rows], grid.phi_samples)
         assert np.abs(grid.values[rows] - ref).max() < 1e-12
 
-    def test_wigner_at_grid_points_equals_grid(self):
-        psi = evolved_state(N)
-        grid = wigner(psi)
-        tt, pp = np.meshgrid(grid.theta_samples, grid.phi_samples, indexing="ij")
-        assert np.abs(wigner_at(psi, tt, pp) - grid.values).max() < 1e-12
-
     def test_theta_chunking_does_not_change_values(self, monkeypatch):
         psi = evolved_state(N)
         whole = wigner(psi).values
         monkeypatch.setattr(importlib.import_module("bjjsim.wigner"), "TABLE_DOUBLES", 1)  # one theta per chunk
         assert np.abs(wigner(psi).values - whole).max() < 1e-12
-
-    @pytest.mark.parametrize("table_doubles", [1, 500, 1 << 17])
-    def test_wigner_at_shuffled_points_in_any_chunking(self, monkeypatch, table_doubles):
-        # points in random order, many sharing a theta, across chunk boundaries
-        psi = evolved_state(N)
-        grid = wigner(psi)
-        rng = np.random.default_rng(7)
-        i = rng.integers(0, grid.theta_samples.size, 600)
-        j = rng.integers(0, grid.phi_samples.size, 600)
-        monkeypatch.setattr(importlib.import_module("bjjsim.wigner"), "TABLE_DOUBLES", table_doubles)
-        got = wigner_at(psi, grid.theta_samples[i].reshape(20, 30), grid.phi_samples[j].reshape(20, 30))
-        assert np.abs(got - grid.values[i, j].reshape(20, 30)).max() < 1e-12
 
 
 def loop_separatrix_z(phi, lam):
