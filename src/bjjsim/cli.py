@@ -150,7 +150,8 @@ def dimensionless_frequency(cfg: RunConfig) -> float:
     return p.omega * math.sqrt(phase_model.omega_zero_squared(p.lam, p.n_particles))
 
 
-def _analytic_row(cfg: RunConfig, t: float) -> tuple:
+def _analytic_row(cfg: RunConfig, times: np.ndarray) -> list:
+    """The ANALYTIC_COLUMNS over the whole time array, from one closed-form evaluation."""
     p = cfg.params
     lam = p.lam
     if cfg.initial_state == "zero":
@@ -159,10 +160,10 @@ def _analytic_row(cfg: RunConfig, t: float) -> tuple:
         cov = phase_model.cov_stable_pi
     else:
         cov = phase_model.cov_unstable_pi
-    gamma, jx_half = cov(t, lam, p.n_particles, p.omega)
-    rec = make_record(t, jx_half * p.n_particles / 2.0, gamma, p.n_particles)
-    return (rec.jx_mean, gamma.gzz, gamma.gyy, gamma.gyz,
-            rec.lambda_plus, rec.lambda_minus, rec.xi2_opt, rec.zeta2_opt)
+    gamma, jx_half = cov(times, lam, p.n_particles, p.omega)
+    rec = make_record(times, jx_half * p.n_particles / 2.0, gamma, p.n_particles)
+    return [rec.jx_mean, gamma.gzz, gamma.gyy, gamma.gyz,
+            rec.lambda_plus, rec.lambda_minus, rec.xi2_opt, rec.zeta2_opt]
 
 
 def _validate_compare(cfg: RunConfig):
@@ -184,25 +185,20 @@ def run_evolve(cfg: RunConfig) -> list[Path]:
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps)
     freq = dimensionless_frequency(cfg)
 
+    rec = trajectory(cfg.params, psi0, times)
     columns = list(EVOLVE_COLUMNS)
+    values = [rec.t, freq * rec.t, rec.jx_mean, rec.gamma.gzz, rec.gamma.gyy,
+              rec.gamma.gyz, rec.lambda_plus, rec.lambda_minus, rec.xi2_opt, rec.zeta2_opt]
     if "analytic" in cfg.compare:
-        columns += list(ANALYTIC_COLUMNS)
+        columns += ANALYTIC_COLUMNS
+        values += _analytic_row(cfg, times)
     if "oat" in cfg.compare:
-        columns += list(OAT_COLUMNS)
-
-    rows = []
-    for rec in trajectory(cfg.params, psi0, times):
-        row = [rec.t, freq * rec.t, rec.jx_mean, rec.gamma.gzz, rec.gamma.gyy,
-               rec.gamma.gyz, rec.lambda_plus, rec.lambda_minus, rec.xi2_opt, rec.zeta2_opt]
-        if "analytic" in cfg.compare:
-            row += list(_analytic_row(cfg, rec.t))
-        rows.append(row)
-    if "oat" in cfg.compare:
-        for row, o in zip(rows, oat_trajectory(cfg.params.n_particles, cfg.params.chi, times)):
-            row += [o.jx_mean, o.lambda_plus, o.lambda_minus, o.xi2_opt, o.zeta2_opt]
+        o = oat_trajectory(cfg.params.n_particles, cfg.params.chi, times)
+        columns += OAT_COLUMNS
+        values += [o.jx_mean, o.lambda_plus, o.lambda_minus, o.xi2_opt, o.zeta2_opt]
 
     path = cfg.out_dir / f"evolve.{cfg.fmt}"
-    return [write_table(path, cfg.fmt, "bjj-evolve", columns, rows)]
+    return [write_table(path, cfg.fmt, "bjj-evolve", columns, np.column_stack(values))]
 
 
 def _fit_in_omega_time(params: ModelParams, psi0: StateVector):
@@ -222,11 +218,15 @@ def _sweep_row(args) -> list:
 
         # fit first: after the search, its full solve would peak on top of the search's freed blocks
         fit, fit_omega = _fit_in_omega_time(params, psi0)
-        freq = dimensionless_frequency(cfg)
-        regime = "zero" if state == "zero" else phase_model.pi_branch(lam, n)
-        # stable regimes: cover the first witness minimum near 2 w t = pi
-        t_hi = 1.25 * math.pi / freq if regime in ("zero", "stable") else 1.5 / freq
-        t_min, z_min = minimize_zeta2(zeta2_of_time(params, psi0), t_hi, tol=1e-4 / freq)
+        # the branch of the simulated lam, which dimensionless_frequency reads too
+        regime = "zero" if state == "zero" else phase_model.pi_branch(params.lam, n)
+        # between the pi branches w_pi may vanish; the first minimum sits near omega t = N^(1/3)
+        rate = params.omega if regime is None else dimensionless_frequency(cfg)
+        if regime in ("zero", "stable"):  # cover the first witness minimum near 2 w t = pi
+            t_hi = 1.25 * math.pi / rate
+        else:
+            t_hi = (1.5 if regime == "unstable" else 1.5 * n ** (1.0 / 3.0)) / rate
+        t_min, z_min = minimize_zeta2(zeta2_of_time(params, psi0), t_hi, tol=1e-4 / rate)
 
         if regime == "zero":
             z_ana = zeta2_min("zero", lam)
@@ -315,9 +315,9 @@ def run_oat_compare(cfg: RunConfig) -> list[Path]:
     psi0 = initial_state_vector(cfg)
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps)
     n, chi = cfg.params.n_particles, cfg.params.chi
-    rows = [[rec.t, n * chi * rec.t, rec.zeta2_opt, rec.xi2_opt,
-             o.zeta2_opt, o.xi2_opt, o.zeta2_opt - rec.zeta2_opt]
-            for rec, o in zip(trajectory(cfg.params, psi0, times), oat_trajectory(n, chi, times))]
+    rec, o = trajectory(cfg.params, psi0, times), oat_trajectory(n, chi, times)
+    rows = np.column_stack([rec.t, n * chi * rec.t, rec.zeta2_opt, rec.xi2_opt,
+                            o.zeta2_opt, o.xi2_opt, o.zeta2_opt - rec.zeta2_opt])
     path = cfg.out_dir / f"oat_compare.{cfg.fmt}"
     return [write_table(path, cfg.fmt, "bjj-oat-compare", OAT_COMPARE_COLUMNS, rows)]
 
@@ -446,19 +446,14 @@ def _run_config_from(args: argparse.Namespace) -> RunConfig:
         params = ModelParams.coupled(n, lam)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    state = args.state or "pi"
     compare = tuple(tok for tok in (getattr(args, "compare", None) or "").split(",") if tok)
     out_dir = Path(args.out if args.out is not None else os.environ.get(ENV_OUT_DIR, "."))
-    return RunConfig(
-        params=params,
-        initial_state=state,
-        t_max=args.t_max if getattr(args, "t_max", None) is not None else 10.0,
-        n_steps=args.steps if getattr(args, "steps", None) is not None else 200,
-        out_dir=out_dir,
-        fmt=args.format if args.format is not None else "csv",
-        compare=compare,
-        workers=args.workers if getattr(args, "workers", None) is not None else 1,
-    )
+    # only what flags or the config file give; RunConfig's defaults fill the rest
+    given = {"initial_state": args.state, "t_max": getattr(args, "t_max", None),
+             "n_steps": getattr(args, "steps", None), "fmt": args.format,
+             "workers": getattr(args, "workers", None)}
+    return RunConfig(params=params, out_dir=out_dir, compare=compare,
+                     **{key: value for key, value in given.items() if value is not None})
 
 
 def main(argv=None) -> int:

@@ -19,6 +19,7 @@ import scipy.linalg
 
 from .spin_core import (
     FIRST_MOMENT_TOL,
+    BandMoments,
     CollectiveOperator,
     CovarianceYZ,
     ModelParams,
@@ -106,32 +107,20 @@ def hamiltonian(params: ModelParams) -> CollectiveOperator:
     return CollectiveOperator(params.n_particles, mat, is_tridiagonal=True)
 
 
-def _eigensolve(n_particles: int, solver, *args) -> tuple[np.ndarray, np.ndarray]:
+def _spectrum(n_particles: int, diag: np.ndarray, off: np.ndarray) -> Spectrum:
+    """Spectrum of the real symmetric tridiagonal matrix with these bands."""
     try:
-        return solver(*args)
+        return Spectrum(n_particles, *scipy.linalg.eigh_tridiagonal(diag, off))
     except scipy.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"eigendecomposition failed to converge for N={n_particles}: {exc}"
-        ) from exc
-
-
-def _spectrum(n_particles: int, solver, *args) -> Spectrum:
-    return Spectrum(n_particles, *_eigensolve(n_particles, solver, *args))
+        raise RuntimeError(f"eigendecomposition failed to converge for N={n_particles}: {exc}") from exc
 
 
 def eigendecompose(op: CollectiveOperator) -> Spectrum:
-    """Full spectrum of a collective operator.
-
-    Real symmetric tridiagonal matrices (the Hamiltonian structure) go through
-    the O(N^2) tridiagonal solver; anything else falls back to a dense
-    Hermitian solve.
-    """
+    """Full spectrum of a real symmetric tridiagonal operator (the structure of H), in O(N^2)."""
     mat = op.matrix
-    if op.is_tridiagonal and np.abs(mat.imag).max() == 0.0:
-        d = mat.diagonal().real.copy()
-        e = mat.diagonal(1).real.copy()
-        return _spectrum(op.n_particles, scipy.linalg.eigh_tridiagonal, d, e)
-    return _spectrum(op.n_particles, scipy.linalg.eigh, mat)
+    if not (op.is_tridiagonal and np.abs(mat.imag).max() == 0.0):
+        raise ValueError("eigendecompose takes a real symmetric tridiagonal operator")
+    return _spectrum(op.n_particles, mat.diagonal().real.copy(), mat.diagonal(1).real.copy())
 
 
 def band_spectrum(params: ModelParams) -> Spectrum:
@@ -145,7 +134,7 @@ def band_spectrum(params: ModelParams) -> Spectrum:
     up to 6.1e-8 relative at N = 200, 3.5e-8 at N = 1000 and 9.1e-8 at
     N = 4000, past the 1e-8 at which stored fit outputs are compared.
     """
-    return _spectrum(params.n_particles, scipy.linalg.eigh_tridiagonal, *hamiltonian_bands(params))
+    return _spectrum(params.n_particles, *hamiltonian_bands(params))
 
 
 def parity_spectrum(params: ModelParams, parity: int) -> Spectrum:
@@ -167,10 +156,10 @@ def parity_spectrum(params: ModelParams, parity: int) -> Spectrum:
     j = n // 2
     diag, off = hamiltonian_bands(params)
     if parity == -1:
-        return _spectrum(n, scipy.linalg.eigh_tridiagonal, diag[j + 1 :], off[j + 1 :])
+        return _spectrum(n, diag[j + 1 :], off[j + 1 :])
     even_off = off[j:].copy()
     even_off[0] *= _SQRT2
-    return _spectrum(n, scipy.linalg.eigh_tridiagonal, diag[j:], even_off)
+    return _spectrum(n, diag[j:], even_off)
 
 
 def _parity_coords(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +218,7 @@ def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
 
 
 def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
-    """Propagation kernel of one (H, psi0): a 1-D array of times -> records.
+    """Propagation kernel of one (H, psi0): a 1-D array of times -> one record of arrays.
 
     The one propagator.  It works sector by sector, a sector being a block
     of H with its spectrum and psi0's coordinates in that block.  Given a
@@ -248,9 +237,10 @@ def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
     the Dicke basis (_from_parity, O(N) per time).  records.states(times)
     yields those blocks, (times, Re psi, Im psi) with one state per row in
     the Dicke basis; records(times) reduces them to moments by O(N) band
-    arithmetic per time (spin_core.band_moments), and each time passes the
-    checks of the dense reference (evolve, covariance_yz, make_record) and
-    fails with the same ValueError.
+    arithmetic per time (spin_core.band_moments), then over all times at
+    once runs the norm check, the first-moment check and one make_record
+    call; each check fails with the dense reference's ValueError (evolve,
+    covariance_yz, make_record) at the earliest time that fails it.
     """
     n = psi0.n_particles
     if isinstance(source, Spectrum):
@@ -268,7 +258,8 @@ def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
     chunk = max(1, PROPAGATION_DOUBLES // (2 * psi0.dim))
 
     def states(times: np.ndarray):
-        for start in range(0, times.size, chunk):
+        # one block at least, so that no times reduce to empty moments
+        for start in range(0, max(times.size, 1), chunk):
             ts = times[start : start + chunk]
             re, im = [], []
             # rows are states: psi(t) = (e^{-iwt} * c) U^T in each sector
@@ -279,28 +270,24 @@ def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
                 im.append((cos * c_im - sin * c_re) @ u.T)
             yield ts, embed(re), embed(im)
 
-    def records(times: np.ndarray) -> list[WitnessRecord]:
-        out = []
-        for ts, re, im in states(times):
-            mom = band_moments(n, re, im)
-            for t, norm, jx, jy, jz, gzz, gyy, gyz in zip(ts.tolist(), *(x.tolist() for x in mom)):
-                check_normalized(norm)
-                check_first_moments(jy, jz, n)
-                gamma = CovarianceYZ(gzz=gzz, gyy=gyy, gyz=gyz)
-                out.append(make_record(t, jx, gamma, n))
-        return out
+    def records(times: np.ndarray) -> WitnessRecord:
+        blocks = [band_moments(n, re, im) for _, re, im in states(times)]
+        mom = BandMoments(*(np.concatenate(column) for column in zip(*blocks)))
+        check_normalized(mom.norm)
+        check_first_moments(mom.jy, mom.jz, n)
+        return make_record(times, mom.jx, CovarianceYZ(mom.gzz, mom.gyy, mom.gyz), n)
 
     records.states = states
     return records
 
 
-def trajectory(params: ModelParams, psi0: StateVector, times) -> list[WitnessRecord]:
-    """Witness records along an exactly propagated trajectory.
+def trajectory(params: ModelParams, psi0: StateVector, times) -> WitnessRecord:
+    """Witnesses along an exactly propagated trajectory: one record of arrays over times.
 
     The time grid is caller-supplied; spectral propagation is exact at any t,
-    so no internal stepping is needed.  All times go through one batched
-    propagation kernel (see _witness_kernel) in the parity sectors psi0
-    occupies.
+    so no internal stepping is needed.  All times go through one call of the
+    batched propagation kernel (see _witness_kernel) in the parity sectors
+    psi0 occupies, and rec.zeta2_opt[i] is the witness at times[i].
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -321,15 +308,15 @@ def zeta2_of_time(params: ModelParams, psi0: StateVector):
     of zeta^2 of the same shape, in any order.  The propagation kernel is
     built once in the parity sectors psi0 occupies (one half-size
     diagonalization for an equatorial state, c = U^T p formed once), and
-    each call is one pass through it with all its times, every one with
-    the kernel's per-time checks.  minimize_zeta2 sends its whole grid in
+    each call is one kernel call with all its times, whose record's
+    zeta2_opt it returns, reshaped.  minimize_zeta2 sends its whole grid in
     one call and its refinement one time per call.
     """
     kernel = _witness_kernel(params, psi0)
 
     def zeta2(t):
         ts = np.asarray(t, dtype=float)
-        z = np.array([rec.zeta2_opt for rec in kernel(ts.ravel())])
+        z = kernel(ts.ravel()).zeta2_opt
         return float(z[0]) if ts.ndim == 0 else z.reshape(ts.shape)
 
     return zeta2

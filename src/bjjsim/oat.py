@@ -50,9 +50,9 @@ def oat_lambda_pm(n_particles: int, chi: float, t):
     return 1.0 + q * (a + r), 1.0 + q * (a - r)
 
 
-def oat_covariance(n_particles: int, chi: float, t: float) -> CovarianceYZ:
-    """Closed-form y-z covariance: gzz = 1 exactly (Jz is conserved)."""
-    a, b = _ab(n_particles, chi, float(t))
+def oat_covariance(n_particles: int, chi: float, t) -> CovarianceYZ:
+    """Closed-form y-z covariance, elementwise in t; gzz = 1.0 at every time (Jz is conserved)."""
+    a, b = _ab(n_particles, chi, t)
     return CovarianceYZ(
         gzz=1.0,
         gyy=1.0 + (n_particles - 1) * a / 2.0,
@@ -60,14 +60,10 @@ def oat_covariance(n_particles: int, chi: float, t: float) -> CovarianceYZ:
     )
 
 
-def oat_trajectory(n_particles: int, chi: float, times) -> list[WitnessRecord]:
-    """Witness records built entirely from the closed forms."""
+def oat_trajectory(n_particles: int, chi: float, times) -> WitnessRecord:
+    """One record of arrays over times, built entirely from the closed forms."""
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
-    records = []
-    for t in times:
-        gamma = oat_covariance(n_particles, chi, float(t))
-        jx = float(oat_jx(n_particles, chi, float(t)))
-        records.append(make_record(float(t), jx, gamma, n_particles))
-    return records
+    gamma = oat_covariance(n_particles, chi, times)
+    return make_record(times, oat_jx(n_particles, chi, times), gamma, n_particles)

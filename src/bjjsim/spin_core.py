@@ -89,23 +89,31 @@ class ModelParams:
         return cls(n_particles=n_particles, chi=chi, omega=0.0)
 
 
+def check_all(ok, message: str, *values) -> None:
+    """Raise ValueError(message.format(*values)) unless ok holds at every time.
+
+    Array values enter the message as floats at the earliest time that fails.
+    """
+    ok = np.asarray(ok, dtype=bool)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(message.format(*(v if np.ndim(v) == 0 else np.ravel(v)[i].item() for v in values)))
+
+
 def check_normalized(norm) -> None:
-    """Raise unless |norm - 1| <= NORM_TOL; a NaN norm fails."""
-    if not abs(norm - 1.0) <= NORM_TOL:
-        raise ValueError(f"state is not normalized: |psi| = {float(norm)!r}")
+    """Raise unless |norm - 1| <= NORM_TOL at every time; a NaN norm fails."""
+    check_all(abs(norm - 1.0) <= NORM_TOL, "state is not normalized: |psi| = {}", norm)
 
 
 def check_first_moments(jy_mean, jz_mean, n_particles: int) -> None:
     """Raise unless <Jy> and <Jz> vanish to FIRST_MOMENT_TOL * N (see covariance_yz).
 
-    A NaN moment fails.
+    Floats or arrays over times; a NaN moment fails.
     """
     limit = FIRST_MOMENT_TOL * n_particles
-    if not (abs(jy_mean) < limit and abs(jz_mean) < limit):
-        raise ValueError(
-            "state outside the supported symmetry class: "
-            f"<Jy> = {jy_mean:.3e}, <Jz> = {jz_mean:.3e} must vanish"
-        )
+    check_all((abs(jy_mean) < limit) & (abs(jz_mean) < limit),
+              "state outside the supported symmetry class: <Jy> = {:.3e}, <Jz> = {:.3e} must vanish",
+              jy_mean, jz_mean)
 
 
 @dataclass(frozen=True)
@@ -161,15 +169,16 @@ class CollectiveOperator:
 
 @dataclass(frozen=True)
 class CovarianceYZ:
-    """Covariance data in the y-z plane, normalized as 2<{Ji, Jj}>/N."""
+    """Covariance data in the y-z plane, normalized as 2<{Ji, Jj}>/N; floats or arrays over times."""
 
-    gzz: float
-    gyy: float
-    gyz: float
+    gzz: float | np.ndarray
+    gyy: float | np.ndarray
+    gyz: float | np.ndarray
 
     def __post_init__(self):
-        if self.gzz < -1e-10 or self.gyy < -1e-10:
-            raise ValueError(f"diagonal covariance entries must be nonnegative: {self}")
+        negative = (self.gzz < -1e-10) | (self.gyy < -1e-10)
+        check_all(np.logical_not(negative), "diagonal covariance entries must be nonnegative: "
+                  "CovarianceYZ(gzz={!r}, gyy={!r}, gyz={!r})", self.gzz, self.gyy, self.gyz)
 
 
 @lru_cache(maxsize=None)
@@ -312,8 +321,8 @@ def band_moments(n_particles: int, re: np.ndarray, im: np.ndarray) -> BandMoment
     )
 
 
-def lambda_pm(gamma: CovarianceYZ) -> tuple[float, float]:
-    """Eigenvalues (lambda_plus, lambda_minus) of the 2x2 covariance matrix."""
+def lambda_pm(gamma: CovarianceYZ):
+    """Eigenvalues (lambda_plus, lambda_minus) of the 2x2 covariance matrix, elementwise."""
     s = gamma.gzz + gamma.gyy
     r = np.hypot(gamma.gzz - gamma.gyy, 2.0 * gamma.gyz)
     return 0.5 * (s + r), 0.5 * (s - r)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import CovarianceYZ, lambda_pm
+from .spin_core import CovarianceYZ, check_all, lambda_pm
 
 #: Fit protocol: two guard orders above the highest reported coefficient;
 #: the window keeps the series remainder below 1/N at N ~ 200; FIT_SAMPLES
@@ -29,15 +29,24 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class WitnessRecord:
-    """One time sample of the witness trajectory."""
+    """The witnesses at one time (floats) or along a trajectory (arrays over times)."""
 
-    t: float
-    jx_mean: float
+    t: float | np.ndarray
+    jx_mean: float | np.ndarray
     gamma: CovarianceYZ
-    lambda_plus: float
-    lambda_minus: float
-    xi2_opt: float
-    zeta2_opt: float
+    lambda_plus: float | np.ndarray
+    lambda_minus: float | np.ndarray
+    xi2_opt: float | np.ndarray
+    zeta2_opt: float | np.ndarray
+
+    def __iter__(self):
+        """A record of arrays yields one record of floats per time, in order."""
+        g = self.gamma
+        columns = (self.t, self.jx_mean, g.gzz, g.gyy, g.gyz,
+                   self.lambda_plus, self.lambda_minus, self.xi2_opt, self.zeta2_opt)
+        for t, jx, gzz, gyy, gyz, *rest in zip(*(np.broadcast_to(c, np.shape(self.t)).tolist()
+                                                  for c in columns)):
+            yield WitnessRecord(t, jx, CovarianceYZ(gzz, gyy, gyz), *rest)
 
 
 @dataclass(frozen=True)
@@ -68,22 +77,24 @@ class TaylorFit:
     condition_number: float
 
 
-def xi2_opt(jx_mean: float, lambda_minus: float, n_particles: int) -> float:
-    """Optimal spin-squeezing witness N^2 lambda_- / (4 <Jx>^2)."""
-    if jx_mean == 0.0:
-        raise ValueError("mean spin fully depolarized (<Jx> = 0): squeezing witness undefined")
+def xi2_opt(jx_mean, lambda_minus, n_particles: int):
+    """Optimal spin-squeezing witness N^2 lambda_- / (4 <Jx>^2), elementwise."""
+    check_all(jx_mean != 0.0, "mean spin fully depolarized (<Jx> = 0): squeezing witness undefined")
     return n_particles**2 * lambda_minus / (4.0 * jx_mean**2)
 
 
-def zeta2_opt(lambda_plus: float) -> float:
-    """Optimal QFI witness 1/lambda_+; values below 1 witness entanglement."""
-    if lambda_plus <= 0.0:
-        raise ValueError(f"lambda_plus must be positive, got {lambda_plus}")
+def zeta2_opt(lambda_plus):
+    """Optimal QFI witness 1/lambda_+, elementwise; values below 1 witness entanglement."""
+    check_all(np.logical_not(lambda_plus <= 0.0), "lambda_plus must be positive, got {}", lambda_plus)
     return 1.0 / lambda_plus
 
 
-def make_record(t: float, jx_mean: float, gamma: CovarianceYZ, n_particles: int) -> WitnessRecord:
-    """Assemble a full witness record from the raw moments."""
+def make_record(t, jx_mean, gamma: CovarianceYZ, n_particles: int) -> WitnessRecord:
+    """The one witness reduction: a full record from the raw moments, elementwise.
+
+    Like a ufunc: floats give the record of one time, arrays of t and <Jx>
+    with a CovarianceYZ of arrays one record of arrays over those times.
+    """
     lp, lm = lambda_pm(gamma)
     return WitnessRecord(
         t=t,
@@ -153,20 +164,20 @@ def fit_times(n_particles: int, chi: float) -> np.ndarray:
     return np.concatenate([[0.0], steps])
 
 
-def fit_taylor_coeffs(records, n_particles: int, chi: float) -> TaylorFit:
+def fit_taylor_coeffs(record: WitnessRecord, n_particles: int, chi: float) -> TaylorFit:
     """Least-squares polynomial of degree FIT_DEGREE in x = N chi t, constant pinned to 1.
 
     Fits zeta^2(x) - 1 on the samples with 0 < x <= FIT_WINDOW; the fit is
     done in the rescaled variable u = x/FIT_WINDOW to keep the design
-    matrix well conditioned, then mapped back.  Requires records starting
-    at t = 0 (the shot-noise reference pinning the constant term), as the
-    records at fit_times do.
+    matrix well conditioned, then mapped back.  Takes one record of arrays
+    over the sample times, which must start at t = 0 (the shot-noise
+    reference pinning the constant term), as the record at fit_times does.
     """
-    records = list(records)
-    if not records or records[0].t != 0.0:
+    t = np.ravel(record.t)
+    if t.size == 0 or t[0] != 0.0:
         raise ValueError("records must start at t = 0")
-    x = np.array([r.t * n_particles * chi for r in records])
-    z = np.array([r.zeta2_opt for r in records])
+    x = t * n_particles * chi
+    z = np.ravel(record.zeta2_opt)
     inside = (x > 0.0) & (x <= FIT_WINDOW)
     if inside.sum() < FIT_DEGREE + 2:
         raise ValueError(

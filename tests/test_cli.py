@@ -4,6 +4,8 @@ import csv
 import importlib
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,19 +15,25 @@ import bjjsim.exact_dynamics
 import bjjsim.spin_core
 from bjjsim.cli import (
     ANALYTIC_COLUMNS,
+    ENV_OUT_DIR,
     MAX_N,
     SWEEP_COLUMNS,
     WIGNER_MAX_N,
     ConfigError,
     RunConfig,
     SweepConfig,
+    _build_parser,
+    _run_config_from,
+    _sweep_row,
+    dimensionless_frequency,
     main,
     run_evolve,
     run_oat_compare,
     run_sweep,
     run_wigner,
 )
-from bjjsim.spin_core import ModelParams
+from bjjsim.exact_dynamics import zeta2_of_time
+from bjjsim.spin_core import ModelParams, coherent_state
 
 
 def read_csv(path):
@@ -141,6 +149,39 @@ class TestSweep:
         assert row["status"] == "ok"
         assert math.isnan(float(row["zeta2_min_analytic"]))
         assert math.isfinite(float(row["zeta2_min_numeric"]))
+
+    @pytest.mark.parametrize("n, lam", [(60, "0.98360655737704916"), (200, "0.997")])
+    def test_window_row_finds_the_first_minimum(self, tmp_path, n, lam):
+        # 0.98360655737704916 is N/(N+1) at N = 60, where the simulated lam has
+        # omega_pi^2 = 0 exactly; both lie between the pi branches
+        assert main(["sweep", "--n", str(n), "--lambda-grid", lam, "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "sweep.csv")
+        row = dict(zip(header, rows[0]))
+        assert row["status"] == "ok"
+        assert math.isnan(float(row["zeta2_min_analytic"]))
+        zeta2 = zeta2_of_time(ModelParams.coupled(n, float(lam)), coherent_state(n, math.pi / 2, math.pi))
+        ts = np.linspace(0.0, 3.0 * n ** (1.0 / 3.0), 2001)[1:]
+        z = zeta2(ts)
+        first = 1 + np.flatnonzero((z[1:-1] < z[:-2]) & (z[1:-1] <= z[2:]))[0]
+        assert abs(float(row["t_at_min"]) - ts[first]) <= ts[1] - ts[0]
+        assert float(row["zeta2_min_numeric"]) <= z[first]
+
+    @pytest.mark.parametrize("state", ["pi", "zero"])
+    @pytest.mark.parametrize("lam", [0.4, 1.5, 2.3])
+    def test_rows_outside_the_window_keep_their_search(self, monkeypatch, state, lam):
+        # the same search window and tolerance as before the window fix, so the same bytes
+        searches = []
+        search = bjjsim.cli.minimize_zeta2
+
+        def recorded(zeta2, t_hi, tol):
+            searches.append((t_hi, tol))
+            return search(zeta2, t_hi, tol=tol)
+
+        monkeypatch.setattr(bjjsim.cli, "minimize_zeta2", recorded)
+        assert _sweep_row((lam, 60, state, 1.0))[-1] == "ok"
+        freq = dimensionless_frequency(RunConfig(params=ModelParams.coupled(60, lam), initial_state=state))
+        window = 1.25 * math.pi if state == "zero" or lam < 1.0 else 1.5
+        assert searches == [(window / freq, 1e-4 / freq)]
 
     def test_grid_validation(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -332,6 +373,16 @@ class TestMain:
 
     def test_unknown_flag_is_config_error(self, tmp_path):
         assert main(["evolve", "--frobnicate"]) == 1
+
+    def test_no_flags_take_the_run_config_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENV_OUT_DIR, raising=False)
+        explicit = RunConfig(params=ModelParams.coupled(200, 2.0), initial_state="pi", t_max=10.0,
+                             n_steps=200, out_dir=Path("."), fmt="csv", compare=(), workers=1)
+        assert _run_config_from(_build_parser().parse_args(["evolve"])) == explicit
+        monkeypatch.chdir(tmp_path)
+        assert main(["evolve"]) == 0
+        by_hand = run_evolve(replace(explicit, out_dir=tmp_path / "explicit"))[0]
+        assert (tmp_path / "evolve.csv").read_bytes() == by_hand.read_bytes()
 
     def test_env_out_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BJJ_OUT_DIR", str(tmp_path))

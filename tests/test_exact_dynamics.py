@@ -11,7 +11,13 @@ from bjjsim.exact_dynamics import (
     trajectory,
     zeta2_of_time,
 )
-from bjjsim.spin_core import ModelParams, build_spin_operators, coherent_state, expectation
+from bjjsim.spin_core import (
+    CollectiveOperator,
+    ModelParams,
+    build_spin_operators,
+    coherent_state,
+    expectation,
+)
 from bjjsim.phase_model import omega_pi_squared
 
 
@@ -117,8 +123,8 @@ class TestTrajectory:
     def test_initial_record_is_shot_noise(self):
         params = ModelParams.coupled(80, 0.7)
         recs = trajectory(params, coherent_state(80, np.pi / 2, np.pi), [0.0, 0.1])
-        assert recs[0].xi2_opt == pytest.approx(1.0, abs=1e-10)
-        assert recs[0].zeta2_opt == pytest.approx(1.0, abs=1e-10)
+        assert recs.xi2_opt[0] == pytest.approx(1.0, abs=1e-10)
+        assert recs.zeta2_opt[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_stable_minimum_depth(self):
         n, lam = 200, 0.5
@@ -126,7 +132,7 @@ class TestTrajectory:
         w = np.sqrt(omega_pi_squared(lam, n))
         times = np.linspace(0.0, np.pi / w, 400)
         recs = trajectory(params, coherent_state(n, np.pi / 2, np.pi), times)
-        zmin = min(r.zeta2_opt for r in recs)
+        zmin = recs.zeta2_opt.min()
         assert zmin == pytest.approx(0.5, abs=5.0 / n)
 
     def test_qfi_keeps_improving_past_squeezing_minimum(self):
@@ -135,10 +141,9 @@ class TestTrajectory:
         w = np.sqrt(-omega_pi_squared(lam, n))
         times = np.linspace(0.0, 2.0 / w, 120)
         recs = trajectory(params, coherent_state(n, np.pi / 2, np.pi), times)
-        xi = np.array([r.xi2_opt for r in recs])
-        zeta = np.array([r.zeta2_opt for r in recs])
+        xi, zeta = recs.xi2_opt, recs.zeta2_opt
         i_min = int(np.argmin(xi))
-        assert 0 < i_min < len(recs) - 1  # squeezing rebounds inside the window
+        assert 0 < i_min < len(times) - 1  # squeezing rebounds inside the window
         assert np.all(np.diff(zeta[i_min:]) < 0)
 
     def test_time_grid_validation(self):
@@ -157,7 +162,18 @@ class TestTrajectory:
         psi0 = coherent_state(60, np.pi / 2, np.pi)
         f = zeta2_of_time(params, psi0)
         recs = trajectory(params, psi0, [0.0, 0.4])
-        assert f(0.4) == pytest.approx(recs[1].zeta2_opt, rel=1e-12)
+        assert f(0.4) == pytest.approx(recs.zeta2_opt[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("which", ["jy", "dense"])
+def test_eigendecompose_takes_only_real_tridiagonal_operators(which):
+    n = 10
+    if which == "jy":  # tridiagonal, but imaginary
+        op = build_spin_operators(n)[1]
+    else:  # real symmetric, not tridiagonal
+        op = CollectiveOperator(n, np.ones((n + 1, n + 1)))
+    with pytest.raises(ValueError, match="real symmetric tridiagonal"):
+        eigendecompose(op)
 
 
 def test_spectrum_shape_validation():

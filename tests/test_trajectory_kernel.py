@@ -57,6 +57,7 @@ from bjjsim.exact_dynamics import (
     zeta2_of_time,
 )
 from bjjsim.spin_core import (
+    CovarianceYZ,
     ModelParams,
     StateVector,
     band_moments,
@@ -66,7 +67,7 @@ from bjjsim.spin_core import (
     expectation,
 )
 from bjjsim.wigner import _tensor_components
-from bjjsim.witnesses import fit_taylor_coeffs, fit_times, make_record, minimize_zeta2
+from bjjsim.witnesses import WitnessRecord, fit_taylor_coeffs, fit_times, make_record, minimize_zeta2
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -94,11 +95,18 @@ def dense_witness_of_time(params, psi0):
     return record
 
 
+def stacked(records):
+    """One-time records (floats) as one record of arrays over their times."""
+    t, jx, gzz, gyy, gyz, lp, lm, xi2, zeta2 = np.array([fields(r) for r in records]).T
+    return WitnessRecord(t, jx, CovarianceYZ(gzz, gyy, gyz), lp, lm, xi2, zeta2)
+
+
 def assert_records_close(got, want, rtol):
-    assert len(got) == len(want)
-    for g, w, tol in zip(got, want, np.broadcast_to(rtol, len(got))):
-        a, b = np.array(fields(g)), np.array(fields(w))
-        assert np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))), (a, b)
+    # records of arrays; one row of fields per time
+    a, b = np.column_stack(fields(got)), np.column_stack(fields(want))
+    assert a.shape == b.shape
+    for g, w, tol in zip(a, b, np.broadcast_to(rtol, len(a))):
+        assert np.all(np.abs(g - w) <= tol * np.maximum(1.0, np.abs(w))), (g, w)
 
 
 def band_residual(params, w, v):
@@ -148,7 +156,7 @@ def test_records_match_scalar_path(n, lam, phi, times):
     params = ModelParams.coupled(n, lam)
     psi0 = coherent_state(n, math.pi / 2, phi)
     record = dense_witness_of_time(params, psi0)
-    assert_records_close(trajectory(params, psi0, times), [record(float(t)) for t in times],
+    assert_records_close(trajectory(params, psi0, times), stacked([record(float(t)) for t in times]),
                          propagation_rtol(params, times))
 
 
@@ -192,7 +200,7 @@ def test_fit_on_kernel_matches_dense_fit(model, lam):
         params, phi = ModelParams.coupled(n, lam), math.pi if model == "pi" else 0.0
     psi0 = coherent_state(n, math.pi / 2, phi)
     record = dense_witness_of_time(params, psi0)
-    records = [record(float(t)) for t in fit_times(n, params.chi)]
+    records = stacked([record(float(t)) for t in fit_times(n, params.chi)])
     want = np.array(fit_taylor_coeffs(records, n, params.chi).coeffs.as_tuple())
     got = np.array(_fit_in_omega_time(params, psi0)[0].coeffs.as_tuple())
     assert np.all(np.abs(got - want) <= 2e-9 * np.maximum(1.0, np.abs(want))), (got, want)
@@ -227,9 +235,9 @@ def test_run_paths_build_no_dense_operators(monkeypatch, tmp_path):
 @given(n=even_n, lam=lams, phi=phis, times=time_grids)
 def test_witness_hierarchy(n, lam, phi, times):
     # criterion 7 at random points: zeta^2 <= xi^2 and the Heisenberg floor 1/N
-    for rec in trajectory(ModelParams.coupled(n, lam), coherent_state(n, math.pi / 2, phi), times):
-        assert rec.zeta2_opt <= rec.xi2_opt + 1e-10
-        assert rec.zeta2_opt >= 1.0 / n - 1e-12
+    rec = trajectory(ModelParams.coupled(n, lam), coherent_state(n, math.pi / 2, phi), times)
+    assert np.all(rec.zeta2_opt <= rec.xi2_opt + 1e-10)
+    assert np.all(rec.zeta2_opt >= 1.0 / n - 1e-12)
 
 
 @PROPERTY
@@ -237,11 +245,11 @@ def test_witness_hierarchy(n, lam, phi, times):
 def test_uncertainty_bound(n, lam, phi, times):
     # Schroedinger-Robertson in the y-z plane: det gamma >= (2 <Jx> / N)^2,
     # with equality for the coherent state at t = 0
-    for rec in trajectory(ModelParams.coupled(n, lam), coherent_state(n, math.pi / 2, phi), times):
-        g = rec.gamma
-        det = g.gzz * g.gyy - g.gyz**2
-        slack = 1e-12 * (g.gzz * g.gyy + g.gyz**2)
-        assert det >= (2.0 * rec.jx_mean / n) ** 2 - slack
+    rec = trajectory(ModelParams.coupled(n, lam), coherent_state(n, math.pi / 2, phi), times)
+    g = rec.gamma
+    det = g.gzz * g.gyy - g.gyz**2
+    slack = 1e-12 * (g.gzz * g.gyy + g.gyz**2)
+    assert np.all(det >= (2.0 * rec.jx_mean / n) ** 2 - slack)
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3, 7])
@@ -300,8 +308,8 @@ def kernel_fields(rec):
 def assert_kernels_close(params, psi0, times):
     got = _witness_kernel(params, psi0)(times)
     want = _witness_kernel(band_spectrum(params), psi0)(times)
-    a = np.array([kernel_fields(r) for r in got])
-    b = np.array([kernel_fields(r) for r in want])
+    a = np.column_stack(kernel_fields(got))
+    b = np.column_stack(kernel_fields(want))
     assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))), (a, b)
 
 
@@ -381,6 +389,7 @@ def test_batched_zeta2_matches_single_times(phi):
     ts = np.linspace(0.0, 3.0, 600)
     want = np.array([zeta2(float(t)) for t in ts])
     assert all(isinstance(zeta2(float(t)), float) for t in ts[:3])
+    assert zeta2(np.array([])).shape == (0,)
     # any order and shape, elementwise
     grid = ts.reshape(20, 30)
     for got, shape in ((zeta2(ts), ts.shape), (zeta2(ts[::-1])[::-1], ts.shape),
@@ -483,8 +492,8 @@ def test_trajectory_matches_expm_multiply_at_large_n():
     states = np.array([expm_multiply(-1j * t * h, psi0.amplitudes) for t in times])
     mom = band_moments(n, states.real, states.imag)
     want = np.stack([mom.jx, mom.gzz, mom.gyy, mom.gyz], axis=1)
-    got = np.array([(r.jx_mean, r.gamma.gzz, r.gamma.gyy, r.gamma.gyz)
-                    for r in trajectory(params, psi0, times)])
+    r = trajectory(params, psi0, times)
+    got = np.column_stack((r.jx_mean, r.gamma.gzz, r.gamma.gyy, r.gamma.gyz))
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
@@ -573,6 +582,68 @@ def test_every_check_applies_per_time(monkeypatch, spoil, message):
     spoil_band_moments(monkeypatch, spoil, 1)
     with pytest.raises(ValueError, match=message):
         trajectory(ModelParams.coupled(20, 2.0), coherent_state(20, math.pi / 2, math.pi), [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("spoil, later, message", [
+    ("norm", 1.0 + 2e-9, f"state is not normalized: |psi| = {1.0 + 1e-9!r}"),
+    ("jz", 2.0, "<Jz> = 1.000e+00 must vanish"),
+    ("gyy", -2.0, "gyy=-1.0, "),
+])
+def test_spoiled_time_in_a_later_block_raises_with_its_value(monkeypatch, spoil, later, message):
+    # blocks of three times; times 7 and 9 (third and fourth block) are spoiled,
+    # and the message carries the value at the earlier one
+    n = 20
+    monkeypatch.setattr(exact_dynamics, "PROPAGATION_DOUBLES", 2 * (n + 1) * 3)
+    first = {"norm": 1.0 + 1e-9, "jz": 1.0, "gyy": -1.0}[spoil]
+    rows = {2: (1, first), 3: (0, later)}  # block index: (row in the block, value)
+    reduce, blocks = exact_dynamics.band_moments, []
+
+    def spoiled(*args):
+        mom = reduce(*args)
+        column = getattr(mom, spoil).copy()
+        if len(blocks) in rows:
+            row, value = rows[len(blocks)]
+            column[row] = value
+        blocks.append(len(column))
+        return mom._replace(**{spoil: column})
+
+    monkeypatch.setattr(exact_dynamics, "band_moments", spoiled)
+    with pytest.raises(ValueError) as err:
+        trajectory(ModelParams.coupled(n, 2.0), coherent_state(n, math.pi / 2, math.pi),
+                   np.linspace(0.0, 2.0, 12))
+    assert blocks == [3, 3, 3, 3]
+    assert message in str(err.value)
+
+
+def test_check_order_wins_over_time_order(monkeypatch):
+    # every check covers all times before the next check runs: a norm
+    # failure at a later time is reported before a covariance failure at an earlier one
+    spoil_band_moments(monkeypatch, {"gyy": -1.0}, 1)
+    spoil_band_moments(monkeypatch, {"norm": 1.0 + 1e-9}, 2)
+    with pytest.raises(ValueError, match="not normalized"):
+        trajectory(ModelParams.coupled(20, 2.0), coherent_state(20, math.pi / 2, math.pi), [0.0, 0.5, 1.0])
+
+
+def test_each_trajectory_is_one_witness_reduction(monkeypatch, tmp_path):
+    shapes = []  # of the t argument of every make_record call, wherever bjjsim binds it
+
+    def counted(t, *args):
+        shapes.append(np.shape(t))
+        return make_record(t, *args)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "bjjsim" or name.startswith("bjjsim.")) and getattr(module, "make_record", None) is make_record:
+            monkeypatch.setattr(module, "make_record", counted)
+    cfg = RunConfig(params=ModelParams.coupled(40, 2.0), t_max=2.0, n_steps=30,
+                    out_dir=tmp_path, compare=("analytic", "oat"))
+    run_evolve(cfg)
+    # the exact trajectory, the closed-form analytic columns and the OAT columns
+    assert shapes == [(30,)] * 3
+    shapes.clear()
+    psi0 = coherent_state(40, math.pi / 2, math.pi)
+    minimize_zeta2(zeta2_of_time(cfg.params, psi0), 1.0, tol=1e-4)
+    # the whole grid in one reduction, then the refinement one time per call
+    assert shapes[0] == (600,) and set(shapes[1:]) == {(1,)}
 
 
 @pytest.mark.parametrize("spoil, message", SPOILS)

@@ -47,6 +47,48 @@ class TestWitnessFormulas:
         assert rec.xi2_opt == pytest.approx(1.0)
         assert rec.zeta2_opt <= rec.xi2_opt + 1e-10
 
+    @pytest.mark.parametrize("source", ["trajectory", "random"])
+    def test_record_of_arrays_matches_records_of_floats(self, source):
+        # the one reduction, elementwise: every field bitwise, except xi^2,
+        # where a float squares <Jx> through pow and an array multiplies (1 ulp)
+        n = 200
+        if source == "trajectory":
+            rec = trajectory(ModelParams.coupled(n, 2.0), coherent_state(n, np.pi / 2, np.pi),
+                             np.linspace(0.0, 3.0, 50))
+            t, jx, g = rec.t, rec.jx_mean, rec.gamma
+        else:
+            rng = np.random.default_rng(7)
+            t, jx = np.sort(rng.uniform(0.0, 5.0, 200)), rng.uniform(-n / 2, n / 2, 200)
+            g = CovarianceYZ(rng.uniform(0.0, 9.0, 200), rng.uniform(0.0, 9.0, 200),
+                             rng.uniform(-3.0, 3.0, 200))
+        arrays = make_record(t, jx, g, n)
+        names, cov = ("t", "jx_mean", "lambda_plus", "lambda_minus", "zeta2_opt"), ("gzz", "gyy", "gyz")
+        for i in range(t.size):
+            one = make_record(t[i].item(), jx[i].item(),
+                              CovarianceYZ(g.gzz[i].item(), g.gyy[i].item(), g.gyz[i].item()), n)
+            got = [getattr(arrays, k)[i] for k in names] + [getattr(arrays.gamma, k)[i] for k in cov]
+            want = [getattr(one, k) for k in names] + [getattr(one.gamma, k) for k in cov]
+            assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
+            assert abs(arrays.xi2_opt[i] - one.xi2_opt) <= np.spacing(abs(one.xi2_opt))
+
+    def test_record_of_arrays_iterates_by_time(self):
+        gamma = CovarianceYZ(np.array([1.0, 2.0]), np.array([1.0, 0.5]), np.array([0.0, 0.1]))
+        times = list(make_record(np.array([0.0, 0.5]), np.array([10.0, 8.0]), gamma, 20))
+        assert [r.t for r in times] == [0.0, 0.5]
+        one = make_record(0.5, 8.0, CovarianceYZ(2.0, 0.5, 0.1), 20)
+        assert (times[1].gamma, times[1].zeta2_opt) == (one.gamma, one.zeta2_opt)
+        assert times[1].xi2_opt == pytest.approx(one.xi2_opt, rel=1e-15)
+
+    def test_checks_name_the_earliest_failing_time(self):
+        with pytest.raises(ValueError, match=r"CovarianceYZ\(gzz=1.0, gyy=-1.0, gyz=0.5\)"):
+            CovarianceYZ(np.array([1.0, 1.0, 1.0]), np.array([1.0, -1.0, -2.0]), np.array([0.0, 0.5, 0.0]))
+        with pytest.raises(ValueError, match="got 0.0$"):
+            zeta2_opt(np.array([1.0, 0.0, -1.0]))
+        with pytest.raises(ValueError, match="depolarized"):
+            xi2_opt(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 10)
+        # NaN passes the covariance and lambda_plus checks, as for floats
+        assert np.isnan(zeta2_opt(np.array([1.0, np.nan]))[1])
+
 
 class TestTaylorCoefficients:
     def test_twisting_series(self):
@@ -122,16 +164,18 @@ class TestMinimumDepths:
             zeta2_min("spiral", 0.5)
 
 
-def synthetic_records(coeffs, n, chi, xs):
-    recs = [make_record(0.0, n / 2.0, CovarianceYZ(1.0, 1.0, 0.0), n)]
-    for x in xs:
-        z = 1.0 + sum(c * x**k for k, c in enumerate(coeffs, start=1))
-        rec = WitnessRecord(
-            t=x / (n * chi), jx_mean=n / 2.0, gamma=CovarianceYZ(1.0, 1.0, 0.0),
-            lambda_plus=1.0 / z, lambda_minus=z, xi2_opt=z, zeta2_opt=z,
-        )
-        recs.append(rec)
-    return recs
+def synthetic_records(coeffs, n, chi, xs, start=True):
+    """One record of arrays: t = 0 (unless start is False), then zeta^2 = 1 + sum c_k x^k at xs."""
+    xs = np.asarray(xs, dtype=float)
+    z = 1.0 + sum(c * xs**k for k, c in enumerate(coeffs, start=1))
+    t = xs / (n * chi)
+    if start:
+        t, z = np.concatenate([[0.0], t]), np.concatenate([[1.0], z])
+    ones = np.ones_like(t)
+    return WitnessRecord(
+        t=t, jx_mean=n / 2.0 * ones, gamma=CovarianceYZ(ones, ones, 0.0 * ones),
+        lambda_plus=1.0 / z, lambda_minus=z, xi2_opt=z, zeta2_opt=z,
+    )
 
 
 class TestFit:
@@ -146,7 +190,7 @@ class TestFit:
     def test_requires_time_zero_start(self):
         n, chi = 100, 0.01
         xs = FIT_WINDOW * np.arange(1, FIT_SAMPLES + 1) / FIT_SAMPLES
-        recs = synthetic_records([-1.0, 0.5, 0, 0, 0, 0], n, chi, xs)[1:]
+        recs = synthetic_records([-1.0, 0.5, 0, 0, 0, 0], n, chi, xs, start=False)
         with pytest.raises(ValueError, match="t = 0"):
             fit_taylor_coeffs(recs, n, chi)
 
