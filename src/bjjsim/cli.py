@@ -15,6 +15,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,12 @@ MAX_N = 4000
 #: package (394 MiB RSS), and one snapshot runs in 18 s at 471 MiB peak
 #: RSS (one BLAS thread); the table alone reaches 1 GiB near N = 736.
 WIGNER_MAX_N = 500
+#: Most time steps accepted by `evolve` and `oat-compare`.  Every column is
+#: an array of n_steps doubles, and the JSON writer holds each row as Python
+#: floats: `evolve --compare analytic,oat --format json` peaks at about
+#: 1.35 kB per step (332 MB RSS at 200 000 steps for N = 60, 335 MB for
+#: N = 1000; CSV 151 MB), the peak of the largest fit and sweep at MAX_N.
+MAX_STEPS = 200_000
 
 EVOLVE_COLUMNS = (
     "t", "omega_t", "jx_mean", "gzz", "gyy", "gyz",
@@ -104,8 +111,8 @@ class RunConfig:
             raise ConfigError(f"unknown initial state {self.initial_state!r}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.n_steps < 2:
-            raise ConfigError(f"n_steps must be at least 2, got {self.n_steps}")
+        if not 2 <= self.n_steps <= MAX_STEPS:
+            raise ConfigError(f"n_steps must be between 2 and {MAX_STEPS}, got {self.n_steps}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         unknown = set(self.compare) - {"analytic", "oat"}
@@ -113,6 +120,12 @@ class RunConfig:
             raise ConfigError(f"unknown compare targets {sorted(unknown)}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+
+    @cached_property
+    def regime(self) -> str | None:
+        """The closed form of the run: "oat" when omega = 0, else phase_model.regime's answer."""
+        p = self.params
+        return "oat" if p.omega == 0.0 else phase_model.regime(self.initial_state, p.lam, p.n_particles)
 
 
 @dataclass(frozen=True)
@@ -137,30 +150,28 @@ def initial_state_vector(cfg: RunConfig) -> StateVector:
 
 
 def dimensionless_frequency(cfg: RunConfig) -> float:
-    """Rate carrying the natural dimensionless time of the active regime.
+    """Rate carrying the natural dimensionless time of the run's regime.
 
-    omega_pi for the pi state, omega_0 otherwise; N chi (the twisting rate)
-    when the coupling vanishes.
+    |omega_pi| in the two pi regimes, omega_0 in the zero regime, omega
+    itself between the pi branches (where omega_pi may vanish), and N chi
+    (the twisting rate) when the coupling vanishes.
     """
     p = cfg.params
-    if p.omega == 0.0:
+    if cfg.regime == "oat":
         return p.n_particles * p.chi
-    if cfg.initial_state == "pi":
-        return p.omega * math.sqrt(abs(phase_model.omega_pi_squared(p.lam, p.n_particles)))
-    return p.omega * math.sqrt(phase_model.omega_zero_squared(p.lam, p.n_particles))
+    if cfg.regime is None:
+        return p.omega
+    if cfg.regime == "zero":
+        return p.omega * math.sqrt(phase_model.omega_zero_squared(p.lam, p.n_particles))
+    return p.omega * math.sqrt(abs(phase_model.omega_pi_squared(p.lam, p.n_particles)))
 
 
 def _analytic_row(cfg: RunConfig, times: np.ndarray) -> list:
     """The ANALYTIC_COLUMNS over the whole time array, from one closed-form evaluation."""
     p = cfg.params
-    lam = p.lam
-    if cfg.initial_state == "zero":
-        cov = phase_model.cov_zero
-    elif phase_model.pi_branch(lam, p.n_particles) == "stable":
-        cov = phase_model.cov_stable_pi
-    else:
-        cov = phase_model.cov_unstable_pi
-    gamma, jx_half = cov(times, lam, p.n_particles, p.omega)
+    # the module attribute at call time, so whatever wraps phase_model.cov_* sees the call
+    cov = getattr(phase_model, f"cov_{cfg.regime}")
+    gamma, jx_half = cov(p.omega * times, p.lam, p.n_particles)
     rec = make_record(times, jx_half * p.n_particles / 2.0, gamma, p.n_particles)
     return [rec.jx_mean, gamma.gzz, gamma.gyy, gamma.gyz,
             rec.lambda_plus, rec.lambda_minus, rec.xi2_opt, rec.zeta2_opt]
@@ -169,9 +180,9 @@ def _analytic_row(cfg: RunConfig, times: np.ndarray) -> list:
 def _validate_compare(cfg: RunConfig):
     if "analytic" in cfg.compare:
         p = cfg.params
-        if p.omega == 0.0:
+        if cfg.regime == "oat":
             raise ConfigError("analytic comparison needs a coupled run (omega > 0)")
-        if cfg.initial_state == "pi" and phase_model.pi_branch(p.lam, p.n_particles) is None:
+        if cfg.regime is None:
             raise ConfigError(
                 f"analytic pi-state comparison undefined at lam = {p.lam}, N = {p.n_particles}: "
                 f"it needs lam < N/(N+1) or lam > 1 + {phase_model.CRITICAL_MARGIN}"
@@ -218,25 +229,18 @@ def _sweep_row(args) -> list:
 
         # fit first: after the search, its full solve would peak on top of the search's freed blocks
         fit, fit_omega = _fit_in_omega_time(params, psi0)
-        # the branch of the simulated lam, which dimensionless_frequency reads too
-        regime = "zero" if state == "zero" else phase_model.pi_branch(params.lam, n)
-        # between the pi branches w_pi may vanish; the first minimum sits near omega t = N^(1/3)
-        rate = params.omega if regime is None else dimensionless_frequency(cfg)
-        if regime in ("zero", "stable"):  # cover the first witness minimum near 2 w t = pi
+        # the regime of the simulated lam, which can differ from the grid lam in the last bit
+        regime, rate = cfg.regime, dimensionless_frequency(cfg)
+        oscillates = regime in ("zero", "stable_pi")
+        if oscillates:  # cover the first witness minimum near 2 w t = pi
             t_hi = 1.25 * math.pi / rate
-        else:
-            t_hi = (1.5 if regime == "unstable" else 1.5 * n ** (1.0 / 3.0)) / rate
+        else:  # between the pi branches (rate omega) the first minimum sits near omega t = N^(1/3)
+            t_hi = (1.5 if regime == "unstable_pi" else 1.5 * n ** (1.0 / 3.0)) / rate
         t_min, z_min = minimize_zeta2(zeta2_of_time(params, psi0), t_hi, tol=1e-4 / rate)
+        # no closed-form minimum on the unstable branch or between the branches
+        z_ana = zeta2_min(regime, lam) if oscillates else math.nan
 
-        if regime == "zero":
-            z_ana = zeta2_min("zero", lam)
-        elif regime == "stable":
-            z_ana = zeta2_min("stable_pi", lam)
-        else:  # the unstable branch and the window between the branches
-            z_ana = math.nan
-
-        model = "zero" if state == "zero" else "pi_unstable"
-        ana = taylor_zeta2(model, lam).in_omega_time(lam)
+        ana = taylor_zeta2(state, lam).in_omega_time(lam)
         ana_p = (ana.p2, ana.p3, ana.p4)
         r_num = fit.coeffs.p3 / oat_p3 if oat_p3 else math.nan
         return [lam, z_min, t_min, z_ana,
@@ -324,12 +328,7 @@ def run_oat_compare(cfg: RunConfig) -> list[Path]:
 
 def run_fit(cfg: RunConfig) -> list[Path]:
     """Short-time coefficient extraction for one parameter point."""
-    if cfg.params.omega == 0.0:
-        model = "oat"
-        ana = taylor_zeta2("oat")
-    else:
-        model = "zero" if cfg.initial_state == "zero" else "pi_unstable"
-        ana = taylor_zeta2(model, cfg.params.lam)
+    ana = taylor_zeta2("oat" if cfg.regime == "oat" else cfg.initial_state, cfg.params.lam)
     psi0 = initial_state_vector(cfg)
     fit, _ = _fit_in_omega_time(cfg.params, psi0)
     c = fit.coeffs

@@ -8,9 +8,11 @@ y-z covariance, the mean spin, and hence the entanglement witnesses.
 
 Conventions resolved against the exact-diagonalization oracle:
 
-* the covariance off-diagonal is -(lam/2) * sin(2 w t) / sqrt(1 - lam) around
-  the pi minimum (hyperbolic continuation for lam > 1) and
-  +(lam/2) * sin(2 w t) / sqrt(1 + lam) around the zero minimum.  These are
+* the closed forms take the dimensionless time omega t, and w is the well
+  frequency in units of omega.
+* the covariance off-diagonal is -(lam/2) * sin(2 w omega t) / sqrt(1 - lam)
+  around the pi minimum (hyperbolic continuation for lam > 1) and
+  +(lam/2) * sin(2 w omega t) / sqrt(1 + lam) around the zero minimum.  These are
   the unique prefactors for which det(gamma) = 1 at all times, as required
   for a pure Gaussian state, and they match the exact dynamics at small t.
 * the closed-form packet moments are evaluated from the Gaussian-kernel
@@ -86,47 +88,50 @@ def omega_zero_squared(lam: float, n_particles: int) -> float:
     return 1.0 + lam * (1.0 + 1.0 / n_particles)
 
 
-def pi_branch(lam: float, n_particles: int) -> str | None:
-    """Closed-form branch around pi at (lam, N): "stable", "unstable" or None.
+def regime(state: str, lam: float, n_particles: int) -> str | None:
+    """Closed form describing a coupled run: "zero", "stable_pi", "unstable_pi" or None.
 
-    cov_stable_pi needs a confining well, (w_pi)^2 > 0, i.e. lam < N/(N+1);
-    cov_unstable_pi needs lam > 1 + CRITICAL_MARGIN.  In the window
-    N/(N+1) <= lam <= 1 + CRITICAL_MARGIN (and for lam <= 0) neither
-    applies, and the answer is None.
+    Each name is the suffix of the cov_* function that evaluates it (and the
+    regime of witnesses.zeta2_min).  The zero state has cov_zero at every
+    lam.  Around pi, cov_stable_pi needs a confining well, (w_pi)^2 > 0,
+    i.e. lam < N/(N+1); cov_unstable_pi needs lam > 1 + CRITICAL_MARGIN.  In
+    the window N/(N+1) <= lam <= 1 + CRITICAL_MARGIN (and for lam <= 0)
+    neither applies, and the answer is None.  The cuts live here only; each
+    cov_* checks its own domain on input.
     """
+    if state == "zero":
+        return "zero"
+    if state != "pi":
+        raise ValueError(f"unknown initial state {state!r}")
     if lam > 1.0 + CRITICAL_MARGIN:
-        return "unstable"
+        return "unstable_pi"
     if 0.0 < lam < 1.0 - CRITICAL_MARGIN and omega_pi_squared(lam, n_particles) > 0.0:
-        return "stable"
+        return "stable_pi"
     return None
 
 
-def _packet_params(t, lam, n_particles, omega, w2, a_init):
+def _packet_params(tau, lam, n_particles, w2, a_init):
     """Ground-state quench of the Gaussian packet in the harmonic phase well.
 
-    Solves the Riccati equation for c(t) = a + ib in a well of squared
-    dimensionless frequency w2 (hyperbolic continuation when w2 < 0), with
-    c(0) = a_init real.  This is the packet of the phase Schroedinger
-    equation; the width stays positive and the curvature b vanishes at t = 0.
+    Solves the Riccati equation for c = a + ib at tau = omega t in a well of
+    squared dimensionless frequency w2 (hyperbolic continuation when
+    w2 < 0), with c(0) = a_init real.  This is the packet of the phase
+    Schroedinger equation; the width stays positive and the curvature b
+    vanishes at tau = 0.
     """
-    tau = omega * t
     wa = np.sqrt(abs(w2))
     a_ground = n_particles * wa / (4.0 * lam)
     g = a_init / a_ground
     # curvature sign pinned by the exact-dynamics oracle (see module docstring)
-    if w2 >= 0.0:
-        co, si = np.cos(wa * tau), np.sin(wa * tau)
-        denom = co * co + g * g * si * si
-        b = -a_ground * (g * g - 1.0) * np.sin(2.0 * wa * tau) / (2.0 * denom)
-    else:
-        co, si = np.cosh(wa * tau), np.sinh(wa * tau)
-        denom = co * co + g * g * si * si
-        b = -a_ground * (g * g + 1.0) * np.sinh(2.0 * wa * tau) / (2.0 * denom)
+    cos, sin, sign = (np.cos, np.sin, -1.0) if w2 >= 0.0 else (np.cosh, np.sinh, 1.0)
+    co, si = cos(wa * tau), sin(wa * tau)
+    denom = co * co + g * g * si * si
+    b = -a_ground * (g * g + sign) * sin(2.0 * wa * tau) / (2.0 * denom)
     return a_ground * g / denom, b
 
 
-def packet_params_pi(t: float, lam: float, lam0: float, n_particles: int, omega: float = 1.0) -> GaussianPacket:
-    """Amplitude packet parameters around the pi minimum at time t.
+def packet_params_pi(omega_t: float, lam: float, lam0: float, n_particles: int) -> GaussianPacket:
+    """Amplitude packet parameters around the pi minimum at time omega_t.
 
     The packet starts in the harmonic ground state computed at interaction
     lam0 and evolves in the well at lam; the lam0 -> 0 limit realizes a
@@ -143,12 +148,12 @@ def packet_params_pi(t: float, lam: float, lam0: float, n_particles: int, omega:
         raise ValueError(f"initial well at lam0 = {lam0} is not confining")
     a_init = n_particles * np.sqrt(w2_init) / (4.0 * lam0)
     w2 = omega_pi_squared(lam, n_particles)
-    a, b = _packet_params(t, lam, n_particles, omega, w2, a_init)
+    a, b = _packet_params(omega_t, lam, n_particles, w2, a_init)
     return GaussianPacket(a=a - n_particles / (4.0 * lam), b=b, center="pi")
 
 
-def packet_params_zero(t: float, lam: float, lam0: float, n_particles: int, omega: float = 1.0) -> GaussianPacket:
-    """Amplitude packet parameters around the zero minimum (always stable).
+def packet_params_zero(omega_t: float, lam: float, lam0: float, n_particles: int) -> GaussianPacket:
+    """Amplitude packet parameters around the zero minimum (always stable) at time omega_t.
 
     Mirror of the pi branch with the zero-well frequency; here the
     phase-weight factor narrows the amplitude by +N/(4 lam).
@@ -159,15 +164,29 @@ def packet_params_zero(t: float, lam: float, lam0: float, n_particles: int, omeg
         raise ValueError(f"lam must be positive, got {lam}")
     a_init = n_particles * np.sqrt(omega_zero_squared(lam0, n_particles)) / (4.0 * lam0)
     w2 = omega_zero_squared(lam, n_particles)
-    a, b = _packet_params(t, lam, n_particles, omega, w2, a_init)
+    a, b = _packet_params(omega_t, lam, n_particles, w2, a_init)
     return GaussianPacket(a=a + n_particles / (4.0 * lam), b=b, center="zero")
 
 
-def cov_stable_pi(t: float, lam: float, n_particles: int, omega: float = 1.0) -> tuple[CovarianceYZ, float]:
-    """Covariance and 2<Jx>/N around pi in the oscillatory regime.
+def _cov_pi(c, s, root, lam: float, n_particles: int) -> tuple[CovarianceYZ, float]:
+    """The pi covariance and 2<Jx>/N from c, s = cos, sin (or cosh, sinh) of 2 w_pi omega t.
 
-    Valid while the pi well is confining, i.e. (w_pi)^2 > 0; the witness
-    minima sit at 2 w_pi t = n pi with depth 1 - lam, independent of N.
+    root is sqrt(|1 - lam|); one algebra serves both branches.
+    """
+    gamma = CovarianceYZ(
+        gzz=(lam + lam * c - 2.0) / (2.0 * (lam - 1.0)),
+        gyy=(2.0 - lam + lam * c) / 2.0,
+        gyz=-lam * s / (2.0 * root),
+    )
+    return gamma, -1.0 + lam**2 / (4.0 * n_particles * (lam - 1.0)) * (c - 1.0)
+
+
+def cov_stable_pi(omega_t: float, lam: float, n_particles: int) -> tuple[CovarianceYZ, float]:
+    """Covariance and 2<Jx>/N around pi in the oscillatory regime, at time omega_t.
+
+    Valid while the pi well is confining, i.e. (w_pi)^2 > 0 (regime
+    "stable_pi"); the witness minima sit at 2 w_pi omega t = n pi with depth
+    1 - lam, independent of N.  Elementwise in omega_t.
     """
     if not 0.0 < lam < 1.0 - CRITICAL_MARGIN:
         raise ValueError(f"stable branch requires 0 < lam < 1, got {lam}")
@@ -176,42 +195,30 @@ def cov_stable_pi(t: float, lam: float, n_particles: int, omega: float = 1.0) ->
         raise ValueError(
             f"pi well not confining at lam={lam}, N={n_particles}; use the unstable branch"
         )
-    w = omega * np.sqrt(w2)
-    c = np.cos(2.0 * w * t)
-    s = np.sin(2.0 * w * t)
-    gamma = CovarianceYZ(
-        gzz=(lam + lam * c - 2.0) / (2.0 * (lam - 1.0)),
-        gyy=(2.0 - lam + lam * c) / 2.0,
-        gyz=-lam * s / (2.0 * np.sqrt(1.0 - lam)),
-    )
-    jx_over_half_n = -1.0 + lam**2 / (4.0 * n_particles * (lam - 1.0)) * (c - 1.0)
-    return gamma, jx_over_half_n
+    x = 2.0 * np.sqrt(w2) * omega_t
+    return _cov_pi(np.cos(x), np.sin(x), np.sqrt(1.0 - lam), lam, n_particles)
 
 
-def cov_unstable_pi(t: float, lam: float, n_particles: int, omega: float = 1.0) -> tuple[CovarianceYZ, float]:
-    """Covariance and 2<Jx>/N around pi in the exponential regime (lam > 1)."""
+def cov_unstable_pi(omega_t: float, lam: float, n_particles: int) -> tuple[CovarianceYZ, float]:
+    """Covariance and 2<Jx>/N around pi in the exponential regime (lam > 1), at time omega_t.
+
+    Regime "unstable_pi"; elementwise in omega_t.
+    """
     if lam <= 1.0 + CRITICAL_MARGIN:
         raise ValueError(f"unstable branch requires lam > 1, got {lam}")
-    w2 = omega_pi_squared(lam, n_particles)
-    w = omega * np.sqrt(-w2)
-    ch = np.cosh(2.0 * w * t)
-    sh = np.sinh(2.0 * w * t)
-    gamma = CovarianceYZ(
-        gzz=(lam + lam * ch - 2.0) / (2.0 * (lam - 1.0)),
-        gyy=(2.0 - lam + lam * ch) / 2.0,
-        gyz=-lam * sh / (2.0 * np.sqrt(lam - 1.0)),
-    )
-    jx_over_half_n = -1.0 + lam**2 / (4.0 * n_particles * (lam - 1.0)) * (ch - 1.0)
-    return gamma, jx_over_half_n
+    x = 2.0 * np.sqrt(-omega_pi_squared(lam, n_particles)) * omega_t
+    return _cov_pi(np.cosh(x), np.sinh(x), np.sqrt(lam - 1.0), lam, n_particles)
 
 
-def cov_zero(t: float, lam: float, n_particles: int, omega: float = 1.0) -> tuple[CovarianceYZ, float]:
-    """Covariance and 2<Jx>/N around the zero minimum (stable for all lam)."""
+def cov_zero(omega_t: float, lam: float, n_particles: int) -> tuple[CovarianceYZ, float]:
+    """Covariance and 2<Jx>/N around the zero minimum (stable for all lam), at time omega_t.
+
+    Regime "zero"; elementwise in omega_t.
+    """
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    w = omega * np.sqrt(omega_zero_squared(lam, n_particles))
-    c = np.cos(2.0 * w * t)
-    s = np.sin(2.0 * w * t)
+    x = 2.0 * np.sqrt(omega_zero_squared(lam, n_particles)) * omega_t
+    c, s = np.cos(x), np.sin(x)
     gamma = CovarianceYZ(
         gzz=(2.0 + lam + lam * c) / (2.0 * (1.0 + lam)),
         gyy=(2.0 + lam - lam * c) / 2.0,

@@ -269,15 +269,6 @@ def covariance_yz(psi: StateVector) -> CovarianceYZ:
     return CovarianceYZ(gzz=gzz, gyy=gyy, gyz=gyz)
 
 
-@lru_cache(maxsize=16)
-def _band_factors(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (m_values, raising_coefficients) of N, shared by band_moments calls."""
-    m, f = m_values(n_particles), raising_coefficients(n_particles)
-    m.setflags(write=False)
-    f.setflags(write=False)
-    return m, f
-
-
 class BandMoments(NamedTuple):
     """Moments of a stack of states, one entry per state (see band_moments)."""
 
@@ -300,7 +291,7 @@ def band_moments(n_particles: int, re: np.ndarray, im: np.ndarray) -> BandMoment
     up to summation order; no first-moment check is applied here.
     """
     n = _validate_even_n(n_particles)
-    m, f = _band_factors(n)
+    m, f = m_values(n), raising_coefficients(n)
     prob = re * re + im * im
     # 2i Jy psi = (J+ - J-) psi, with (J+ psi)_{k+1} = f_k psi_k and (J- psi)_k = f_k psi_{k+1}
     d_re, d_im = np.zeros_like(re), np.zeros_like(im)

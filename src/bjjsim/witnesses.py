@@ -110,16 +110,17 @@ def make_record(t, jx_mean, gamma: CovarianceYZ, n_particles: int) -> WitnessRec
 def taylor_zeta2(model: str, lam: float | None = None) -> TaylorCoeffs:
     """Short-time series coefficients of zeta^2 in powers of (N chi t).
 
-    Models: "oat" (twisting only), "pi_unstable" (coupled, state on the
-    negative x axis, lam > 1), "zero" (coupled, state on the positive x axis).
-    The coupled models require lam.  The linear term is -1 universally; the
-    models first differ at third order.
+    Models: "oat" (twisting only), and the initial states of a coupled run,
+    "pi" (state on the negative x axis) and "zero" (state on the positive x
+    axis).  The coupled models require lam > 0; each series holds on both
+    sides of lam = 1, whichever closed form phase_model.regime names.  The
+    linear term is -1 universally; the models first differ at third order.
     """
     if model == "oat":
         return TaylorCoeffs(-1.0, 0.5, -0.125, 0.0)
     if lam is None or lam <= 0:
         raise ValueError(f"model {model!r} requires a positive lam")
-    if model == "pi_unstable":
+    if model == "pi":
         return TaylorCoeffs(
             -1.0,
             0.5,

@@ -120,7 +120,7 @@ def test_criterion_3_taylor_coefficients():
     for lam in [1.5, 2.0, 2.5, 3.0]:
         params = ModelParams.coupled(N, lam)
         fit = protocol_fit(params, coherent_state(N, np.pi / 2, np.pi)).coeffs.in_omega_time(lam)
-        ana = taylor_zeta2("pi_unstable", lam).in_omega_time(lam)
+        ana = taylor_zeta2("pi", lam).in_omega_time(lam)
         rels = [
             abs(fit.p2 - ana.p2) / abs(ana.p2),
             abs(fit.p3 - ana.p3) / abs(ana.p3),

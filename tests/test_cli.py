@@ -17,6 +17,7 @@ from bjjsim.cli import (
     ANALYTIC_COLUMNS,
     ENV_OUT_DIR,
     MAX_N,
+    MAX_STEPS,
     SWEEP_COLUMNS,
     WIGNER_MAX_N,
     ConfigError,
@@ -126,6 +127,34 @@ class TestEvolve:
         header, rows = read_csv(tmp_path / "evolve.csv")
         assert header[-len(ANALYTIC_COLUMNS):] == list(ANALYTIC_COLUMNS)
         assert all(math.isfinite(float(x)) for row in rows for x in row[-len(ANALYTIC_COLUMNS):])
+
+    @pytest.mark.parametrize("n, lam", [(60, 60 / 61), (200, 0.997)])
+    def test_window_rows_run_on_omega_time(self, tmp_path, n, lam):
+        # between the pi branches omega_pi may vanish; omega_t is omega t (omega = 1),
+        # the rate the sweep's minimum search uses there
+        cfg = small_cfg(tmp_path, params=ModelParams.coupled(n, lam))
+        assert cfg.regime is None
+        header, rows = read_csv(run_evolve(cfg)[0])
+        assert [r[header.index("omega_t")] for r in rows] == [r[header.index("t")] for r in rows]
+
+    @pytest.mark.parametrize(
+        "state, lam, regime", [("zero", 2.0, "zero"), ("pi", 0.5, "stable_pi"), ("pi", 2.0, "unstable_pi")]
+    )
+    def test_analytic_run_calls_its_closed_form_once(self, tmp_path, monkeypatch, state, lam, regime):
+        # counted through the module attribute, which a layer trace wraps too
+        phase_model = importlib.import_module("bjjsim.phase_model")
+        calls = []
+        for name in ("cov_zero", "cov_stable_pi", "cov_unstable_pi"):
+            def counted(*args, _name=name, _closed=getattr(phase_model, name)):
+                calls.append(_name)
+                return _closed(*args)
+
+            monkeypatch.setattr(phase_model, name, counted)
+        cfg = small_cfg(tmp_path, params=ModelParams.coupled(60, lam), initial_state=state,
+                        compare=("analytic",))
+        assert cfg.regime == regime
+        run_evolve(cfg)
+        assert calls == [f"cov_{regime}"]
 
 
 class TestSweep:
@@ -305,6 +334,29 @@ class TestParticleLimit:
         cfg = small_cfg(tmp_path, params=ModelParams.coupled(WIGNER_MAX_N, 2.0))
         with pytest.raises(AssertionError, match="a dense operator was built"):
             run_wigner(cfg, [0.5])
+        assert not any(tmp_path.iterdir())
+
+
+class TestStepLimit:
+    @pytest.fixture
+    def no_time_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a time grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+
+    @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**9])
+    @pytest.mark.parametrize("command", ["evolve", "oat-compare"])
+    def test_rejected_before_allocating(self, tmp_path, capsys, no_time_grid, command, steps):
+        assert main([command, "--n", "60", "--steps", str(steps), "--out", str(tmp_path)]) == 1
+        assert f"n_steps must be between 2 and {MAX_STEPS}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["evolve", "oat-compare"])
+    def test_limit_admits_its_bound(self, tmp_path, capsys, no_time_grid, command):
+        # past the guard, the refusal comes from the time grid, which the fixture refuses
+        assert main([command, "--n", "60", "--steps", str(MAX_STEPS), "--out", str(tmp_path)]) == 2
+        assert "a time grid was allocated" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
 

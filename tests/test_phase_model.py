@@ -265,8 +265,8 @@ class TestClosedFormCovariances:
 
 
     @pytest.mark.parametrize("n", [2, N, 4000])
-    def test_pi_branch_is_the_closed_forms_domain(self, n):
-        # "stable" exactly where cov_stable_pi accepts lam, "unstable" where
+    def test_regime_is_the_closed_forms_domain(self, n):
+        # "stable_pi" exactly where cov_stable_pi accepts lam, "unstable_pi" where
         # cov_unstable_pi does, None in the window N/(N+1) <= lam <= 1 + 1e-6
         edge = n / (n + 1)
         lams = [0.0, 0.3, 0.99 * edge, edge - 1e-9, edge, edge + 1e-9, 0.996, 0.9999,
@@ -279,9 +279,15 @@ class TestClosedFormCovariances:
                     accepts.append(True)
                 except ValueError:
                     accepts.append(False)
-            want = {(True, False): "stable", (False, True): "unstable", (False, False): None}
-            assert pm.pi_branch(lam, n) == want[tuple(accepts)], lam
-        assert pm.pi_branch(0.996, N) is None and pm.pi_branch(0.99, N) == "stable"
+            want = {(True, False): "stable_pi", (False, True): "unstable_pi", (False, False): None}
+            assert pm.regime("pi", lam, n) == want[tuple(accepts)], lam
+            # the zero state has one closed form whatever lam
+            assert pm.regime("zero", lam, n) == "zero", lam
+        assert pm.regime("pi", 0.996, N) is None and pm.regime("pi", 0.99, N) == "stable_pi"
+
+    def test_regime_rejects_unknown_state(self):
+        with pytest.raises(ValueError, match="unknown initial state"):
+            pm.regime("custom", 0.5, N)
 
 
 def exact_gamma(params, psi0, t, spec=None, jx_op=None):

@@ -96,22 +96,23 @@ class TestTaylorCoefficients:
 
     def test_pi_series_in_omega_units(self):
         # lam = 2 in the omega*t normalization: (p2, p3, p4) = (2, -4/3, 2/3)
-        c = taylor_zeta2("pi_unstable", 2.0).in_omega_time(2.0)
+        c = taylor_zeta2("pi", 2.0).in_omega_time(2.0)
         assert c.p1 == pytest.approx(-2.0)
         assert c.p2 == pytest.approx(2.0)
         assert c.p3 == pytest.approx(-4.0 / 3.0)
         assert c.p4 == pytest.approx(2.0 / 3.0)
 
-    @pytest.mark.parametrize("lam", [1.2, 2.0, 3.5])
+    @pytest.mark.parametrize("lam", [0.4, 0.9, 1.2, 2.0, 3.5])
     def test_pi_series_formulas(self, lam):
-        c = taylor_zeta2("pi_unstable", lam).in_omega_time(lam)
+        # one series for the pi state, below lam = 1 (stable_pi) as above (unstable_pi)
+        c = taylor_zeta2("pi", lam).in_omega_time(lam)
         assert c.p2 == pytest.approx(lam**2 / 2)
         assert c.p3 == pytest.approx(-lam**3 / 8 - lam**2 / 6 + lam / 6)
         assert c.p4 == pytest.approx((lam**3 - lam**2) / 6)
 
     @pytest.mark.parametrize("lam", [0.7, 1.0, 2.0])
     def test_third_order_model_differences(self, lam):
-        pi = taylor_zeta2("pi_unstable", lam)
+        pi = taylor_zeta2("pi", lam)
         zero = taylor_zeta2("zero", lam)
         oat = taylor_zeta2("oat")
         assert pi.p1 == zero.p1 == oat.p1 == -1.0
@@ -127,6 +128,8 @@ class TestTaylorCoefficients:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             taylor_zeta2("two_axis", 1.0)
+        with pytest.raises(ValueError, match="unknown model"):
+            taylor_zeta2("pi_" + "unstable", 2.0)  # the former key; the series is keyed by the state
         with pytest.raises(ValueError):
             taylor_zeta2("zero")  # lam required
 
@@ -147,7 +150,7 @@ class TestRatio:
     def test_consistency_with_series(self):
         lam = 1.7
         assert ratio_R(lam) == pytest.approx(
-            taylor_zeta2("pi_unstable", lam).p3 / taylor_zeta2("oat").p3
+            taylor_zeta2("pi", lam).p3 / taylor_zeta2("oat").p3
         )
 
 
