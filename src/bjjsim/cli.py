@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import phase_model
-from .wigner import separatrix as separatrix_curve, wigner as wigner_grid
+from .wigner import _multipole_pass, _sphere_grid, separatrix as separatrix_curve
 from .exact_dynamics import _witness_kernel, band_spectrum, trajectory, zeta2_of_time
 from .oat import oat_trajectory
 from .output import GridRows, write_table
-from .spin_core import ModelParams, StateVector, coherent_state
+from .spin_core import ModelParams, StateVector, check_normalized, coherent_state
 from .witnesses import (
     fit_taylor_coeffs,
     fit_times,
@@ -44,13 +44,15 @@ ENV_OUT_DIR = "BJJ_OUT_DIR"
 #: peaks at about twice that while it runs; that sets the limit.  No run
 #: path builds an operator table.
 MAX_N = 4000
-#: Largest particle number for `wigner`.  The tensor-operator table behind
-#: the multipoles holds about (N+1)^3/3 doubles for the life of the process
-#: (8 (N+1)^3 / 3 bytes), and the default grid grows with N as well; the
-#: snapshot states cost only the even block, (N/2+1)^2 doubles.  At
-#: N = 500 the table's construction peaks at 333 MiB above the imported
-#: package (394 MiB RSS), and one snapshot runs in 18 s at 471 MiB peak
-#: RSS (one BLAS thread); the table alone reaches 1 GiB near N = 736.
+#: Largest particle number for `wigner`.  Memory is O(N^2): the multipole
+#: pass holds two tensor blocks and (N+1)^2 complex multipoles per snapshot,
+#: and each grid array holds 8 (2N+3)(4N+5) bytes (16 MB at N = 500).  Time
+#: is O(N^3) in the pass and in the Legendre tables, and each snapshot's CSV
+#: holds about 690 N^2 bytes.  At N = 500 (one BLAS thread) one snapshot
+#: runs in 13-14 s at 110 MiB peak RSS and writes 172 MB; two run in 21-23 s
+#: at 114 MiB.  Run time and file size keep the limit at 500: at 2N the
+#: O(N^3) parts take 8 times as long and the CSV is 4 times the size.
+#: Memory no longer sets it.
 WIGNER_MAX_N = 500
 #: Most time steps accepted by `evolve` and `oat-compare`.  Every column is
 #: an array of n_steps doubles, and the JSON writer holds each row as Python
@@ -288,18 +290,22 @@ def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = No
     if n > WIGNER_MAX_N:
         raise ConfigError(f"N = {n} exceeds the Wigner limit N <= {WIGNER_MAX_N}")
 
-    # every snapshot from one kernel call, in the parity sectors psi0 occupies
+    # every snapshot from one kernel call, in the parity sectors psi0 occupies,
+    # and the multipoles of all of them from one pass over the tensor blocks
     blocks = _witness_kernel(p, initial_state_vector(cfg)).states(np.array(snapshot_times))
-    states = (StateVector(n, amp) for _, re, im in blocks for amp in re + 1j * im)
+    _, re, im = (np.concatenate(part) for part in zip(*blocks))
+    check_normalized(np.sqrt((re * re + im * im).sum(axis=-1)))
+    multipoles = _multipole_pass(n, re, im)
     written: list[Path] = []
     try:
-        for i, psi in enumerate(states):
-            grid = wigner_grid(psi)
+        for i, rho in enumerate(multipoles):
+            grid = _sphere_grid(rho)
             rows = GridRows(
                 (grid.theta_samples, grid.phi_samples), (grid.values, grid.peak_normalized())
             )
             path = cfg.out_dir / f"wigner_t{i:02d}.{cfg.fmt}"
             written.append(write_table(path, cfg.fmt, "bjj-wigner", WIGNER_COLUMNS, rows))
+            del grid, rows  # free this grid before the next snapshot's is summed
         if emit_separatrix:
             curve = separatrix_curve(lam)
             rows = [[ph, z, -z] for ph, z in zip(curve.phi, curve.z)]

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
@@ -94,6 +95,24 @@ def _write_grid(fh, grid: GridRows) -> None:
         fh.write((head + head.join(tails)) % tuple(slab.ravel().tolist()))
 
 
+@contextmanager
+def _atomic_write(path: Path):
+    """A text file handle on path's .tmp sibling, moved onto path only on success.
+
+    The parent directory is created first; on any exception, interrupts
+    included, the .tmp file is removed and path is left as it was.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
 def write_csv(path: Path, schema_name: str, columns, rows) -> Path:
     """Write rows atomically; the header comment line carries the schema tag.
 
@@ -104,28 +123,21 @@ def write_csv(path: Path, schema_name: str, columns, rows) -> Path:
     the same bytes as its expanded rows.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     ncol = len(columns)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(f"# schema={schema_name}-v{SCHEMA_VERSION} columns={ncol}\n")
-            fh.write(",".join(columns) + "\n")
-            if isinstance(rows, GridRows):
-                _check_width(len(rows.axes) + len(rows.values), ncol, schema_name)
-                _write_grid(fh, rows)
-            else:
-                _write_rows(fh, schema_name, ncol, rows)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    os.replace(tmp, path)
+    with _atomic_write(path) as fh:
+        fh.write(f"# schema={schema_name}-v{SCHEMA_VERSION} columns={ncol}\n")
+        fh.write(",".join(columns) + "\n")
+        if isinstance(rows, GridRows):
+            _check_width(len(rows.axes) + len(rows.values), ncol, schema_name)
+            _write_grid(fh, rows)
+        else:
+            _write_rows(fh, schema_name, ncol, rows)
     return path
 
 
 def write_json(path: Path, schema_name: str, columns, rows) -> Path:
+    """Write rows atomically as one JSON object with schema, columns and rows."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     ncol = len(columns)
     if isinstance(rows, GridRows):
         rows = rows.expand()
@@ -138,11 +150,9 @@ def write_json(path: Path, schema_name: str, columns, rows) -> Path:
         "columns": list(columns),
         "rows": payload_rows,
     }
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
+    with _atomic_write(path) as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
     return path
 
 

@@ -10,7 +10,6 @@ hyperbolic fixed point at (phi = pi, z = 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -93,102 +92,113 @@ def mean_field_energy(z, phi, lam: float):
     return lam * z * z / 2.0 - np.sqrt(np.clip(1.0 - z * z, 0.0, None)) * np.cos(phi)
 
 
-@lru_cache(maxsize=None)
-def _tensor_components(n_particles: int) -> tuple[np.ndarray, ...]:
-    """Orthonormal tensor operators for spin j = N/2, stacked per azimuthal order.
+def _multipole_pass(n_particles: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """rho[..., k, q] = <psi|T_kq^dag|psi> for q = 0 ... N, zero where q > k.
 
-    blocks[q][:, k - q] holds <m+q|T_kq|m> (real) for q = 0 ... N, k = q ... N
-    and the valid m range; T_{k,-q} = (-1)^q T_kq^dag gives negative q.  On the
-    space of fixed-q diagonals, the adjoint-action Casimir sum_a [J_a,[J_a, .]]
-    is symmetric tridiagonal with nondegenerate eigenvalues k(k+1), so each
-    q-block is obtained from one backward-stable tridiagonal eigensolve (a
-    naive commutator descent in q loses orthogonality like 2^N eps).  Signs
-    follow the usual convention via single lowering steps from T_kk, whose
-    entries are positive.
+    The states are the rows re + i*im (`...` leading axes, as in
+    spin_core.band_moments); negative q follows from Hermiticity,
+    rho_{k,-q} = (-1)^q conj(rho_kq).  The orthonormal tensor operators are
+    streamed one azimuthal order at a time, q = N ... 0, holding two blocks:
+    block q holds <m+q|T_kq|m> (real), columns k = q ... N.  On the space of
+    fixed-q diagonals the adjoint-action Casimir sum_a [J_a,[J_a, .]] is
+    symmetric tridiagonal with nondegenerate eigenvalues k(k+1), so each block
+    is one backward-stable tridiagonal eigensolve (a naive commutator descent
+    in q loses orthogonality like 2^N eps).  Signs follow the spherical
+    convention: T_qq is (-1)^q times the positive (J+)^q direction, which
+    makes <j j|T_k0|j j> > 0, and T_kq (k > q) has the sign of one exact
+    lowering step [J-, T_{k,q+1}] from the block before.
     """
     n = _validate_even_n(n_particles)
     dim = n + 1
-    f = np.concatenate([raising_coefficients(n), [0.0]])  # f[i] = <m_i+1|J+|m_i>
-
-    def f_at(idx):
-        out = np.zeros_like(idx, dtype=float)
-        ok = (idx >= 0) & (idx <= dim - 2)
-        out[ok] = f[idx[ok]]
-        return out
-
-    # per q: eigen-decompose the Casimir block, columns are k = q..n
-    blocks: list[np.ndarray] = []
-    for q in range(n + 1):
+    # g[i + 1] = <m_i+1|J+|m_i>, zero outside i = 0 ... N-1
+    g = np.concatenate([[0.0], raising_coefficients(n), [0.0]])
+    g2 = g * g
+    rho = np.zeros(re.shape[:-1] + (dim, dim), dtype=complex)
+    upper = None  # block q+1, signs fixed
+    for q in range(n, -1, -1):
         size = dim - q
-        i = np.arange(size)
-        diag = q * q + 0.5 * (
-            f_at(i + q) ** 2 + f_at(i - 1) ** 2 + f_at(i + q - 1) ** 2 + f_at(i) ** 2
-        )
-        off = -f_at(i[:-1]) * f_at(i[:-1] + q)
+        diag = q * q + 0.5 * (g2[q + 1 :] + g2[:size] + g2[q:dim] + g2[1 : size + 1])
+        f_lo, f_hi = g[1:size], g[q + 1 : dim]
         try:
-            w, v = scipy.linalg.eigh_tridiagonal(diag, off)
+            w, v = scipy.linalg.eigh_tridiagonal(diag, -f_lo * f_hi)
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover
             raise RuntimeError(f"tensor block q={q} failed to diagonalize for N={n}") from exc
-        expected = np.array([k * (k + 1.0) for k in range(q, n + 1)])
-        drift = np.abs(w - expected).max() / max(1.0, expected.max())
+        expected = np.arange(q, dim) * np.arange(q + 1.0, dim + 1)
+        drift = np.abs(w - expected).max() / max(1.0, expected[-1])
         if drift > TENSOR_NORM_TOL:
             raise RuntimeError(
                 f"tensor spectrum drift {drift:.3e} for N={n}, q={q}: construction unstable"
             )
-        blocks.append(v)
-
-    # highest components: (-1)^k times the positive (J+)^k direction (the
-    # spherical convention, which makes <j j|T_k0|j j> > 0), with signs
-    # propagated downward one exact lowering step at a time
-    for k, v in enumerate(blocks):
-        if (-1) ** k * v[:, 0].sum() < 0:
+        if (-1) ** q * v[:, 0].sum() < 0:
             v[:, 0] *= -1.0
-    for q in range(n - 1, -1, -1):
-        upper = blocks[q + 1]  # columns k = q+1 .. n, signs already fixed
-        i = np.arange(dim - q)
-        pad = np.zeros((1, upper.shape[1]))
-        # [J-, T_{k,q+1}] restricted to the q diagonal
-        lowered = (
-            f_at(i + q)[:, None] * np.vstack([upper, pad])
-            - f_at(i - 1)[:, None] * np.vstack([pad, upper])
-        )
-        v = blocks[q]
-        v[:, 1:] *= np.where(np.einsum("ik,ik->k", lowered, v[:, 1:]) > 0, 1.0, -1.0)
-    for v in blocks:
-        v.setflags(write=False)
-    return tuple(blocks)
-
-
-def _multipole_array(psi: StateVector) -> np.ndarray:
-    """rho_kq = <psi|T_kq^dag|psi> as an (N+1) x (2N+1) array, zero where |q| > k.
-
-    Column q holds order q, negative q counted from the end (column -1 is
-    q = -1), the layout of scipy's sph_legendre_p_all.  One matrix product
-    per q against the stacked tensor columns; negative q follows from
-    Hermiticity.
-    """
-    n = psi.n_particles
-    dim = n + 1
-    c = psi.amplitudes
-    rho = np.zeros((n + 1, 2 * n + 1), dtype=complex)
-    for q, block in enumerate(_tensor_components(n)):
-        x = np.conj(c[: dim - q]) * c[q:]
-        re, im = (block.T @ np.stack([x.real, x.imag], axis=1)).T
-        rho[q:, q] = re + 1j * im
-        if q:
-            rho[q:, -q] = (-1) ** q * np.conj(rho[q:, q])
+        if upper is not None:
+            # <[J-, T_{k,q+1}], T_kq> for k = q+1 ... N, from the q+1 diagonal
+            overlap = np.einsum("j,jk,jk->k", f_hi, upper, v[:-1, 1:]) - np.einsum(
+                "j,jk,jk->k", f_lo, upper, v[1:, 1:]
+            )
+            v[:, 1:] *= np.where(overlap > 0, 1.0, -1.0)
+        # x_m = conj(c_m) c_{m+q}, real and imaginary parts in one product
+        x = np.stack([
+            re[..., :size] * re[..., q:] + im[..., :size] * im[..., q:],
+            re[..., :size] * im[..., q:] - im[..., :size] * re[..., q:],
+        ])
+        x_re, x_im = x @ v
+        rho[..., q:, q] = x_re + 1j * x_im
+        upper = v
     return rho
 
 
 def density_multipoles(psi: StateVector) -> dict[tuple[int, int], complex]:
     """Multipole coefficients rho_kq = <psi|T_kq^dag|psi> of the pure state.
 
-    Hermiticity guarantees rho_{k,-q} = (-1)^q conj(rho_kq), and purity makes
-    sum |rho_kq|^2 = 1; both are exercised by the tests.
+    Hermiticity gives rho_{k,-q} = (-1)^q conj(rho_kq) from the q >= 0
+    array, and purity makes sum |rho_kq|^2 = 1; both are exercised by the
+    tests.
     """
-    rho = _multipole_array(psi)
     n = psi.n_particles
-    return {(k, q): complex(rho[k, q]) for k in range(n + 1) for q in range(-k, k + 1)}
+    rho = _multipole_pass(n, psi.amplitudes.real, psi.amplitudes.imag)
+    return {(k, q): complex(rho[k, q] if q >= 0 else (-1) ** q * np.conj(rho[k, -q]))
+            for k in range(n + 1) for q in range(-k, k + 1)}
+
+
+def _sphere_grid(rho: np.ndarray, n_theta: int | None = None, n_phi: int | None = None) -> SphereGrid:
+    """wigner's summation, from the q >= 0 multipoles rho[k, q] of one state.
+
+    With the theta profiles P_q(theta) = sum_k rho_kq Y_kq(theta, 0) and
+    P_{-q} = conj(P_q), each theta row is one real inverse FFT over the
+    uniform phi grid, which starts at phi = -pi.  The FFT keeps only Re P_0,
+    so the realness check is made on its source: T_k0 is Hermitian, and
+    Im rho_k0 must vanish.
+    """
+    n = rho.shape[-1] - 1
+    band = 2 * (n + 1)
+    if n_theta is None:
+        n_theta = max(181, band + 1)
+    if n_phi is None:
+        n_phi = max(361, 2 * band + 1)
+    if n_theta < band or n_phi < band:
+        raise ValueError(f"grid {n_theta}x{n_phi} under-resolves the band limit {band} for N={n}")
+    residue = np.abs(rho[:, 0].imag).max()
+    if residue > IMAG_RESIDUE_TOL:
+        raise RuntimeError(f"Wigner values not real: imaginary residue {residue:.3e}")
+
+    thetas = np.linspace(0.0, np.pi, n_theta)
+    phis = np.linspace(-np.pi, np.pi, n_phi, endpoint=False)
+    # e^{i q phi_j} = (-1)^q e^{2 pi i q j / n_phi} on this grid
+    shifted = rho * (-1.0) ** np.arange(n + 1)
+    w = np.empty((n_theta, n_phi))
+    # the Legendre table costs (N+1)(2N+1) doubles per theta; at most TABLE_DOUBLES at once
+    step = max(1, TABLE_DOUBLES // ((n + 1) * (2 * n + 1)))
+    for start in range(0, n_theta, step):
+        sl = slice(start, start + step)
+        table = sph_legendre_p_all(n, n, thetas[sl])[0][:, : n + 1]  # (k, q >= 0, theta)
+        prof = np.einsum("kqt,kq->tq", table, shifted.real) + 1j * np.einsum(
+            "kqt,kq->tq", table, shifted.imag
+        )
+        w[sl] = np.fft.irfft(prof, n=n_phi, axis=1)
+    # n_phi undoes irfft's 1/n_phi; the k = 0 multipole alone carries the trace,
+    # which gives the unit solid-angle integral
+    return SphereGrid(thetas, phis, w * (n_phi * np.sqrt((n + 1) / (4.0 * np.pi))))
 
 
 def wigner(psi: StateVector, n_theta: int | None = None, n_phi: int | None = None) -> SphereGrid:
@@ -197,36 +207,8 @@ def wigner(psi: StateVector, n_theta: int | None = None, n_phi: int | None = Non
     The grid must resolve the band limit k <= N: at least 2(N+1) samples per
     direction.  Defaults give 181 x 361 up to N = 60 and scale up beyond.
     """
-    n = psi.n_particles
-    band = 2 * (n + 1)
-    if n_theta is None:
-        n_theta = max(181, band + 1)
-    if n_phi is None:
-        n_phi = max(361, 2 * band + 1)
-    if n_theta < band or n_phi < band:
-        raise ValueError(f"grid {n_theta}x{n_phi} under-resolves the band limit {band} for N={n}")
-
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(-np.pi, np.pi, n_phi, endpoint=False)
-    # azimuthal orders in the column layout of _multipole_array
-    orders = np.concatenate([np.arange(n + 1), np.arange(-n, 0)])
-    phase = np.exp(1j * np.outer(orders, phis))
-    rho = _multipole_array(psi)
-    w = np.empty((n_theta, n_phi), dtype=complex)
-    # the Legendre table costs (N+1)(2N+1) doubles per theta; at most TABLE_DOUBLES at once
-    step = max(1, TABLE_DOUBLES // rho.size)
-    for start in range(0, n_theta, step):
-        sl = slice(start, start + step)
-        table = sph_legendre_p_all(n, n, thetas[sl])[0]  # (k, q, theta)
-        # theta profiles: sum_k rho_kq Y_kq(theta, 0), one column per q
-        prof = np.einsum("kqt,kq->tq", table, rho.real) + 1j * np.einsum("kqt,kq->tq", table, rho.imag)
-        w[sl] = prof @ phase
-    residue = np.abs(w.imag).max()
-    if residue > IMAG_RESIDUE_TOL:
-        raise RuntimeError(f"Wigner values not real: imaginary residue {residue:.3e}")
-    # unit solid-angle integral: the k = 0 multipole alone carries the trace
-    scale = np.sqrt((n + 1) / (4.0 * np.pi))
-    return SphereGrid(thetas, phis, w.real * scale)
+    rho = _multipole_pass(psi.n_particles, psi.amplitudes.real, psi.amplitudes.imag)
+    return _sphere_grid(rho, n_theta, n_phi)
 
 
 def _separatrix_z(phi: np.ndarray, lam: float) -> np.ndarray:

@@ -302,7 +302,7 @@ class TestParticleLimit:
         for module in (bjjsim.spin_core, bjjsim.exact_dynamics, wigner_module, bjjsim.cli):
             for name in (
                 "build_spin_operators", "hamiltonian", "band_spectrum",
-                "_tensor_components", "wigner", "wigner_grid",
+                "_multipole_pass", "wigner",
             ):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
@@ -330,7 +330,7 @@ class TestParticleLimit:
 
     def test_wigner_limit_admits_its_bound(self, tmp_path, no_dense_operators):
         # the guard passes N = WIGNER_MAX_N on: the kernel's even-block solve and
-        # propagation run, and the refusal comes from wigner_grid, which the fixture refuses
+        # propagation run, and the refusal comes from the multipole pass, which the fixture refuses
         cfg = small_cfg(tmp_path, params=ModelParams.coupled(WIGNER_MAX_N, 2.0))
         with pytest.raises(AssertionError, match="a dense operator was built"):
             run_wigner(cfg, [0.5])

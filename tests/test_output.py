@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import bjjsim.output
 from bjjsim.output import BLOCK_ROWS, GridRows, format_float, write_csv, write_table
 
 EDGE = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.8e308, 1.7976931348623157e308, 1 / 3]
@@ -48,6 +49,16 @@ def test_string_fields_quoted_minimally(tmp_path):
         assert fh.readline().startswith("# schema=t-v")
         assert list(csv.reader(fh)) == [["x", "status"], ["0.5", "ok"], ["-0", text], ["nan", "plain"]]
     assert data_lines(path)[0] == "0.5,ok"
+
+
+def test_json_dump_failure_leaves_no_file(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(bjjsim.output.json, "dump", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_table(tmp_path / "d.json", "json", "t", ["a"], [[1.0]])
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

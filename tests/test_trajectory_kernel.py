@@ -66,7 +66,6 @@ from bjjsim.spin_core import (
     covariance_yz,
     expectation,
 )
-from bjjsim.wigner import _tensor_components
 from bjjsim.witnesses import WitnessRecord, fit_taylor_coeffs, fit_times, make_record, minimize_zeta2
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -417,9 +416,9 @@ def test_kernel_states_match_dense_evolve(n, lam, phi, times):
 @pytest.mark.parametrize("state", ["pi", "zero"])
 def test_wigner_snapshots_come_from_one_even_block_solve(monkeypatch, tmp_path, state):
     # all snapshots from one kernel call: one eigh_tridiagonal of size N/2+1,
-    # neither the full solve nor dense evolve
+    # neither the full solve nor dense evolve; then one multipole pass for
+    # both snapshots, one tensor block of each size 1 ... N+1
     n = 40
-    _tensor_components(n)  # the multipoles' own (cached) eigensolves, made before counting
 
     def refuse(*args, **kwargs):
         raise AssertionError("the full solve or dense evolve ran")
@@ -432,7 +431,7 @@ def test_wigner_snapshots_come_from_one_even_block_solve(monkeypatch, tmp_path, 
     sizes = count_eigensolves(monkeypatch)
     cfg = RunConfig(params=ModelParams.coupled(n, 2.0), initial_state=state, out_dir=tmp_path)
     paths = run_wigner(cfg, [0.5, 1.5])
-    assert sizes == [n // 2 + 1]
+    assert sizes == [n // 2 + 1] + list(range(1, n + 2))
     assert sorted(p.name for p in paths) == ["separatrix.csv", "wigner_t00.csv", "wigner_t01.csv"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["separatrix.csv", "wigner_t00.csv",
                                                            "wigner_t01.csv"]

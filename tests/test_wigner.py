@@ -1,6 +1,7 @@
 """Multipole decomposition, Wigner grids, and the mean-field separatrix."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bjjsim.phase_model import omega_pi_squared
 from bjjsim.wigner import (
     ROOT_RESIDUAL_TOL,
     SeparatrixCurve,
+    _multipole_pass,
     _separatrix_z,
     density_multipoles,
     mean_field_energy,
@@ -60,6 +62,25 @@ class TestMultipoles:
     def test_larger_n_still_orthonormal(self):
         rho = density_multipoles(coherent_state(60, np.pi / 2, 0.0))
         assert purity(rho) == pytest.approx(1.0, abs=1e-8)
+
+    def test_stacked_states_match_one_at_a_time(self):
+        amps = np.stack([coherent_state(N, 1.1, 0.4).amplitudes, evolved_state(N).amplitudes])
+        stacked = _multipole_pass(N, amps.real, amps.imag)
+        for amp, rho in zip(amps, stacked):
+            assert np.abs(_multipole_pass(N, amp.real, amp.imag) - rho).max() < 1e-14
+
+    def test_pass_memory_is_quadratic_in_n(self):
+        # two tensor blocks and the (N+1)^2 result, never the (N+1)^3/3 table
+        n = 300
+        amp = coherent_state(n, 1.1, 0.4).amplitudes
+        re, im = amp.real.copy(), amp.imag.copy()
+        tracemalloc.start()
+        try:
+            _multipole_pass(n, re, im)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * (n + 1) ** 2
 
 
 class TestWignerGrid:
