@@ -107,6 +107,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.params.omega == 0.0:
+            raise ConfigError("a run needs a coupled junction (omega > 0)")
         if self.params.n_particles > MAX_N:
             raise ConfigError(f"N = {self.params.n_particles} exceeds the limit N <= {MAX_N}")
         if self.initial_state not in ("pi", "zero"):
@@ -120,14 +122,16 @@ class RunConfig:
         unknown = set(self.compare) - {"analytic", "oat"}
         if unknown:
             raise ConfigError(f"unknown compare targets {sorted(unknown)}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        # a pool starts all its processes at once; no more of them than cores
+        cores = os.cpu_count() or 1
+        if not 1 <= self.workers <= cores:
+            raise ConfigError(f"workers must be between 1 and the {cores} cores, got {self.workers}")
 
     @cached_property
     def regime(self) -> str | None:
-        """The closed form of the run: "oat" when omega = 0, else phase_model.regime's answer."""
+        """The closed form of the run, phase_model.regime's answer."""
         p = self.params
-        return "oat" if p.omega == 0.0 else phase_model.regime(self.initial_state, p.lam, p.n_particles)
+        return phase_model.regime(self.initial_state, p.lam, p.n_particles)
 
 
 @dataclass(frozen=True)
@@ -154,18 +158,14 @@ def initial_state_vector(cfg: RunConfig) -> StateVector:
 def dimensionless_frequency(cfg: RunConfig) -> float:
     """Rate carrying the natural dimensionless time of the run's regime.
 
-    |omega_pi| in the two pi regimes, omega_0 in the zero regime, omega
-    itself between the pi branches (where omega_pi may vanish), and N chi
-    (the twisting rate) when the coupling vanishes.
+    |omega_pi| at the run's signed coupling (so omega_0 for the zero state),
+    and omega itself between the pi branches, where omega_pi may vanish.
     """
     p = cfg.params
-    if cfg.regime == "oat":
-        return p.n_particles * p.chi
     if cfg.regime is None:
         return p.omega
-    if cfg.regime == "zero":
-        return p.omega * math.sqrt(phase_model.omega_zero_squared(p.lam, p.n_particles))
-    return p.omega * math.sqrt(abs(phase_model.omega_pi_squared(p.lam, p.n_particles)))
+    s = phase_model._signed_coupling(cfg.initial_state, p.lam)
+    return p.omega * math.sqrt(abs(phase_model.omega_pi_squared(s, p.n_particles)))
 
 
 def _analytic_row(cfg: RunConfig, times: np.ndarray) -> list:
@@ -180,15 +180,16 @@ def _analytic_row(cfg: RunConfig, times: np.ndarray) -> list:
 
 
 def _validate_compare(cfg: RunConfig):
-    if "analytic" in cfg.compare:
-        p = cfg.params
-        if cfg.regime == "oat":
-            raise ConfigError("analytic comparison needs a coupled run (omega > 0)")
-        if cfg.regime is None:
-            raise ConfigError(
-                f"analytic pi-state comparison undefined at lam = {p.lam}, N = {p.n_particles}: "
-                f"it needs lam < N/(N+1) or lam > 1 + {phase_model.CRITICAL_MARGIN}"
-            )
+    p = cfg.params
+    if "analytic" not in cfg.compare:
+        return
+    if not p.lam > 0.0:
+        raise ConfigError(f"analytic comparison needs lam > 0, got {p.lam}")
+    if cfg.regime is None:
+        raise ConfigError(
+            f"analytic pi-state comparison undefined at lam = {p.lam}, N = {p.n_particles}: "
+            f"it needs lam < N/(N+1) or lam > 1 + {phase_model.CRITICAL_MARGIN}"
+        )
 
 
 def run_evolve(cfg: RunConfig) -> list[Path]:
@@ -264,8 +265,9 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
     oat_p3 = oat_fit.coeffs.p3
 
     jobs = [(lam, n, base.initial_state, oat_p3) for lam in cfg.lambda_grid]
-    if base.workers > 1:
-        with ProcessPoolExecutor(max_workers=base.workers) as pool:
+    processes = min(base.workers, len(jobs))
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             rows = list(pool.map(_sweep_row, jobs))
     else:
         rows = [_sweep_row(job) for job in jobs]
@@ -282,7 +284,7 @@ def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = No
         raise ConfigError("snapshot times must be finite, nonnegative and nonempty")
     p = cfg.params
     lam = p.lam
-    has_separatrix = lam is not None and lam > 1.0
+    has_separatrix = lam > 1.0
     if want_separatrix and not has_separatrix:
         raise ConfigError(f"no separatrix through (pi, 0) for lam = {lam}")
     emit_separatrix = has_separatrix if want_separatrix is None else want_separatrix
@@ -320,8 +322,6 @@ def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = No
 
 def run_oat_compare(cfg: RunConfig) -> list[Path]:
     """Coupled dynamics against the twisting-only benchmark at equal N, chi."""
-    if cfg.params.omega == 0.0:
-        raise ConfigError("oat-compare needs a coupled run (omega > 0)")
     psi0 = initial_state_vector(cfg)
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps)
     n, chi = cfg.params.n_particles, cfg.params.chi
@@ -334,11 +334,12 @@ def run_oat_compare(cfg: RunConfig) -> list[Path]:
 
 def run_fit(cfg: RunConfig) -> list[Path]:
     """Short-time coefficient extraction for one parameter point."""
-    ana = taylor_zeta2("oat" if cfg.regime == "oat" else cfg.initial_state, cfg.params.lam)
-    psi0 = initial_state_vector(cfg)
-    fit, _ = _fit_in_omega_time(cfg.params, psi0)
+    lam = cfg.params.lam
+    if not lam > 0.0:
+        raise ConfigError(f"fit needs lam > 0, got {lam}")
+    ana = taylor_zeta2(cfg.initial_state, lam)
+    fit, _ = _fit_in_omega_time(cfg.params, initial_state_vector(cfg))
     c = fit.coeffs
-    lam = cfg.params.lam if cfg.params.lam is not None else math.nan
     rows = [[lam, c.p1, c.p2, c.p3, c.p4, ana.p1, ana.p2, ana.p3, ana.p4,
              fit.residual_norm, fit.condition_number]]
     path = cfg.out_dir / f"fit.{cfg.fmt}"

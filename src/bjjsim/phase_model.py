@@ -10,11 +10,18 @@ Conventions resolved against the exact-diagonalization oracle:
 
 * the closed forms take the dimensionless time omega t, and w is the well
   frequency in units of omega.
+* a rotation by pi about z followed by complex conjugation (the equatorial
+  states have real amplitudes) maps the zero state onto the pi state,
+  chi Jz^2 - omega Jx onto its form at coupling -lam, and <Jx> onto -<Jx>,
+  leaving Jy and Jz.  So each closed form is written once, around pi, and
+  read at the signed coupling +lam (pi state) or -lam (zero state), which
+  _signed_coupling alone decides.
 * the covariance off-diagonal is -(lam/2) * sin(2 w omega t) / sqrt(1 - lam)
-  around the pi minimum (hyperbolic continuation for lam > 1) and
-  +(lam/2) * sin(2 w omega t) / sqrt(1 + lam) around the zero minimum.  These are
-  the unique prefactors for which det(gamma) = 1 at all times, as required
-  for a pure Gaussian state, and they match the exact dynamics at small t.
+  around the pi minimum (hyperbolic continuation for lam > 1): the unique
+  prefactor for which det(gamma) = 1 at all times, as required for a pure
+  Gaussian state, and it matches the exact dynamics at small t.  At -lam it
+  is +(lam/2) * sin(2 w_0 omega t) / sqrt(1 + lam) around the zero minimum,
+  where (w_0)^2 = 1 + lam (1 + 1/N) is (w_pi)^2 at -lam.
 * the closed-form packet moments are evaluated from the Gaussian-kernel
   double integrals directly (complex moment algebra, real part taken); the
   imaginary residue is an artifact of the kernel approximation and is of the
@@ -84,8 +91,17 @@ def omega_pi_squared(lam: float, n_particles: int) -> float:
 
 
 def omega_zero_squared(lam: float, n_particles: int) -> float:
-    """(w_0/omega)^2 = 1 + lam (1 + 1/N); positive for every lam > 0."""
-    return 1.0 + lam * (1.0 + 1.0 / n_particles)
+    """(w_0/omega)^2 = 1 + lam (1 + 1/N), the pi form at -lam; positive for every lam > 0."""
+    return omega_pi_squared(-lam, n_particles)
+
+
+def _signed_coupling(state: str, lam: float) -> float:
+    """The coupling at which the pi closed forms describe `state`: +lam for "pi", -lam for "zero"."""
+    if state == "pi":
+        return lam
+    if state == "zero":
+        return -lam
+    raise ValueError(f"unknown initial state {state!r}")
 
 
 def regime(state: str, lam: float, n_particles: int) -> str | None:
@@ -93,8 +109,9 @@ def regime(state: str, lam: float, n_particles: int) -> str | None:
 
     Each name is the suffix of the cov_* function that evaluates it (and the
     regime of witnesses.zeta2_min).  The zero state has cov_zero at every
-    lam.  Around pi, cov_stable_pi needs a confining well, (w_pi)^2 > 0,
-    i.e. lam < N/(N+1); cov_unstable_pi needs lam > 1 + CRITICAL_MARGIN.  In
+    lam: its well, the pi well at -lam, always confines.  Around pi,
+    cov_stable_pi needs a confining well, (w_pi)^2 > 0, i.e. lam < N/(N+1);
+    cov_unstable_pi needs lam > 1 + CRITICAL_MARGIN.  In
     the window N/(N+1) <= lam <= 1 + CRITICAL_MARGIN (and for lam <= 0)
     neither applies, and the answer is None.  The cuts live here only; each
     cov_* checks its own domain on input.
@@ -110,73 +127,69 @@ def regime(state: str, lam: float, n_particles: int) -> str | None:
     return None
 
 
-def _packet_params(tau, lam, n_particles, w2, a_init):
-    """Ground-state quench of the Gaussian packet in the harmonic phase well.
+def _packet_params(omega_t, lam, lam0, n_particles, state) -> GaussianPacket:
+    """The packet of `state`: the pi packet at the signed couplings s of lam and s0 of lam0.
 
-    Solves the Riccati equation for c = a + ib at tau = omega t in a well of
-    squared dimensionless frequency w2 (hyperbolic continuation when
-    w2 < 0), with c(0) = a_init real.  This is the packet of the phase
-    Schroedinger equation; the width stays positive and the curvature b
-    vanishes at tau = 0.
-    """
-    wa = np.sqrt(abs(w2))
-    a_ground = n_particles * wa / (4.0 * lam)
-    g = a_init / a_ground
-    # curvature sign pinned by the exact-dynamics oracle (see module docstring)
-    cos, sin, sign = (np.cos, np.sin, -1.0) if w2 >= 0.0 else (np.cosh, np.sinh, 1.0)
-    co, si = cos(wa * tau), sin(wa * tau)
-    denom = co * co + g * g * si * si
-    b = -a_ground * (g * g + sign) * sin(2.0 * wa * tau) / (2.0 * denom)
-    return a_ground * g / denom, b
-
-
-def packet_params_pi(omega_t: float, lam: float, lam0: float, n_particles: int) -> GaussianPacket:
-    """Amplitude packet parameters around the pi minimum at time omega_t.
-
-    The packet starts in the harmonic ground state computed at interaction
-    lam0 and evolves in the well at lam; the lam0 -> 0 limit realizes a
-    coherent spin state.  The returned parameters include the quadratic
-    expansion of the phase-weight factor, which near pi widens the amplitude
-    by -N/(4 lam).  The critical point lam = 1 is excluded.
-    """
-    if lam0 <= 0:
-        raise ValueError(f"lam0 must be positive, got {lam0}")
-    if abs(lam - 1.0) < CRITICAL_MARGIN:
-        raise ValueError(f"lam within {CRITICAL_MARGIN} of the critical point 1 is rejected")
-    w2_init = omega_pi_squared(lam0, n_particles)
-    if w2_init <= 0.0:
-        raise ValueError(f"initial well at lam0 = {lam0} is not confining")
-    a_init = n_particles * np.sqrt(w2_init) / (4.0 * lam0)
-    w2 = omega_pi_squared(lam, n_particles)
-    a, b = _packet_params(omega_t, lam, n_particles, w2, a_init)
-    return GaussianPacket(a=a - n_particles / (4.0 * lam), b=b, center="pi")
-
-
-def packet_params_zero(omega_t: float, lam: float, lam0: float, n_particles: int) -> GaussianPacket:
-    """Amplitude packet parameters around the zero minimum (always stable) at time omega_t.
-
-    Mirror of the pi branch with the zero-well frequency; here the
-    phase-weight factor narrows the amplitude by +N/(4 lam).
+    The Riccati solution for c = a + ib at omega t in the well of squared
+    frequency w2 (continued hyperbolically when w2 < 0), with b = 0 at
+    t = 0; the quadratic expansion of the phase-weight factor then adds
+    -N/(4 s) to the width.
     """
     if lam0 <= 0:
         raise ValueError(f"lam0 must be positive, got {lam0}")
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    a_init = n_particles * np.sqrt(omega_zero_squared(lam0, n_particles)) / (4.0 * lam0)
-    w2 = omega_zero_squared(lam, n_particles)
-    a, b = _packet_params(omega_t, lam, n_particles, w2, a_init)
-    return GaussianPacket(a=a + n_particles / (4.0 * lam), b=b, center="zero")
+    s, s0 = _signed_coupling(state, lam), _signed_coupling(state, lam0)
+    if abs(s - 1.0) < CRITICAL_MARGIN:
+        raise ValueError(f"lam within {CRITICAL_MARGIN} of the critical point 1 is rejected")
+    w2_init = omega_pi_squared(s0, n_particles)
+    if w2_init <= 0.0:
+        raise ValueError(f"initial well at lam0 = {lam0} is not confining")
+    w2 = omega_pi_squared(s, n_particles)
+    wa = np.sqrt(abs(w2))
+    a_ground = n_particles * wa / (4.0 * lam)
+    g = n_particles * np.sqrt(w2_init) / (4.0 * lam0) / a_ground
+    # curvature sign pinned by the exact-dynamics oracle (see module docstring)
+    cos, sin, sign = (np.cos, np.sin, -1.0) if w2 >= 0.0 else (np.cosh, np.sinh, 1.0)
+    co, si = cos(wa * omega_t), sin(wa * omega_t)
+    denom = co * co + g * g * si * si
+    b = -a_ground * (g * g + sign) * sin(2.0 * wa * omega_t) / (2.0 * denom)
+    return GaussianPacket(a=a_ground * g / denom - n_particles / (4.0 * s), b=b, center=state)
 
 
-def _cov_pi(c, s, root, lam: float, n_particles: int) -> tuple[CovarianceYZ, float]:
-    """The pi covariance and 2<Jx>/N from c, s = cos, sin (or cosh, sinh) of 2 w_pi omega t.
+def packet_params_pi(omega_t: float, lam: float, lam0: float, n_particles: int) -> GaussianPacket:
+    """Amplitude packet parameters around the pi minimum at time omega_t.
 
-    root is sqrt(|1 - lam|); one algebra serves both branches.
+    The packet starts in the harmonic ground state at interaction lam0 and
+    evolves in the well at lam; the lam0 -> 0 limit realizes a coherent spin
+    state.  Near pi the phase-weight factor widens the amplitude by
+    -N/(4 lam).  The critical point lam = 1 is excluded.
     """
+    return _packet_params(omega_t, lam, lam0, n_particles, "pi")
+
+
+def packet_params_zero(omega_t: float, lam: float, lam0: float, n_particles: int) -> GaussianPacket:
+    """Amplitude packet parameters around the zero minimum (always stable) at time omega_t.
+
+    The pi packet at -lam: the phase-weight factor narrows the amplitude by +N/(4 lam).
+    """
+    return _packet_params(omega_t, lam, lam0, n_particles, "zero")
+
+
+def _cov_pi(omega_t, lam: float, n_particles: int) -> tuple[CovarianceYZ, float]:
+    """The pi covariance and 2<Jx>/N at the signed coupling lam and time omega_t.
+
+    One algebra, fed cos, sin of 2 w_pi omega t while the pi well confines
+    and cosh, sinh otherwise.  Callers check the domain.
+    """
+    w2 = omega_pi_squared(lam, n_particles)
+    cos, sin = (np.cos, np.sin) if w2 > 0.0 else (np.cosh, np.sinh)
+    x = 2.0 * np.sqrt(abs(w2)) * omega_t
+    c, s = cos(x), sin(x)
     gamma = CovarianceYZ(
         gzz=(lam + lam * c - 2.0) / (2.0 * (lam - 1.0)),
         gyy=(2.0 - lam + lam * c) / 2.0,
-        gyz=-lam * s / (2.0 * root),
+        gyz=-lam * s / (2.0 * np.sqrt(abs(1.0 - lam))),
     )
     return gamma, -1.0 + lam**2 / (4.0 * n_particles * (lam - 1.0)) * (c - 1.0)
 
@@ -190,13 +203,11 @@ def cov_stable_pi(omega_t: float, lam: float, n_particles: int) -> tuple[Covaria
     """
     if not 0.0 < lam < 1.0 - CRITICAL_MARGIN:
         raise ValueError(f"stable branch requires 0 < lam < 1, got {lam}")
-    w2 = omega_pi_squared(lam, n_particles)
-    if w2 <= 0.0:
+    if omega_pi_squared(lam, n_particles) <= 0.0:
         raise ValueError(
             f"pi well not confining at lam={lam}, N={n_particles}; use the unstable branch"
         )
-    x = 2.0 * np.sqrt(w2) * omega_t
-    return _cov_pi(np.cos(x), np.sin(x), np.sqrt(1.0 - lam), lam, n_particles)
+    return _cov_pi(omega_t, lam, n_particles)
 
 
 def cov_unstable_pi(omega_t: float, lam: float, n_particles: int) -> tuple[CovarianceYZ, float]:
@@ -206,26 +217,18 @@ def cov_unstable_pi(omega_t: float, lam: float, n_particles: int) -> tuple[Covar
     """
     if lam <= 1.0 + CRITICAL_MARGIN:
         raise ValueError(f"unstable branch requires lam > 1, got {lam}")
-    x = 2.0 * np.sqrt(-omega_pi_squared(lam, n_particles)) * omega_t
-    return _cov_pi(np.cosh(x), np.sinh(x), np.sqrt(lam - 1.0), lam, n_particles)
+    return _cov_pi(omega_t, lam, n_particles)
 
 
 def cov_zero(omega_t: float, lam: float, n_particles: int) -> tuple[CovarianceYZ, float]:
     """Covariance and 2<Jx>/N around the zero minimum (stable for all lam), at time omega_t.
 
-    Regime "zero"; elementwise in omega_t.
+    The pi form at -lam with <Jx> reversed.  Regime "zero"; elementwise in omega_t.
     """
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    x = 2.0 * np.sqrt(omega_zero_squared(lam, n_particles)) * omega_t
-    c, s = np.cos(x), np.sin(x)
-    gamma = CovarianceYZ(
-        gzz=(2.0 + lam + lam * c) / (2.0 * (1.0 + lam)),
-        gyy=(2.0 + lam - lam * c) / 2.0,
-        gyz=lam * s / (2.0 * np.sqrt(1.0 + lam)),
-    )
-    jx_over_half_n = 1.0 + lam**2 / (4.0 * n_particles * (1.0 + lam)) * (c - 1.0)
-    return gamma, jx_over_half_n
+    gamma, jx_over_half_n = _cov_pi(omega_t, _signed_coupling("zero", lam), n_particles)
+    return gamma, -jx_over_half_n
 
 
 def bargmann_overlap(theta: float, phi: float, n_particles: int) -> float:

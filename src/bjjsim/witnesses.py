@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import phase_model
 from .spin_core import CovarianceYZ, check_all, lambda_pm
 
 #: Fit protocol: two guard orders above the highest reported coefficient;
@@ -113,30 +114,19 @@ def taylor_zeta2(model: str, lam: float | None = None) -> TaylorCoeffs:
     Models: "oat" (twisting only), and the initial states of a coupled run,
     "pi" (state on the negative x axis) and "zero" (state on the positive x
     axis).  The coupled models require lam > 0; each series holds on both
-    sides of lam = 1, whichever closed form phase_model.regime names.  The
-    linear term is -1 universally; the models first differ at third order.
+    sides of lam = 1, whichever closed form phase_model.regime names.  One
+    series serves all three: p1 = -1, p2 = 1/2, p3 = -1/8 - g/6 and
+    p4 = g/6, g = a - a^2, with a = 1/s at phase_model's signed coupling s
+    (+lam for "pi", -lam for "zero") and a = 0 for "oat", the omega -> 0
+    limit s -> inf.
     """
-    if model == "oat":
-        return TaylorCoeffs(-1.0, 0.5, -0.125, 0.0)
-    if lam is None or lam <= 0:
+    if model not in ("oat", "pi", "zero"):
+        raise ValueError(f"unknown model {model!r}")
+    if model != "oat" and not (lam is not None and lam > 0):
         raise ValueError(f"model {model!r} requires a positive lam")
-    if model == "pi":
-        return TaylorCoeffs(
-            -1.0,
-            0.5,
-            -0.125 - (1.0 / lam - 1.0 / lam**2) / 6.0,
-            (1.0 / lam - 1.0 / lam**2) / 6.0,
-        )
-    if model == "zero":
-        # Fourth order carries -(1/lam + 1/lam^2)/6: the series of the
-        # closed-form covariance, confirmed against exact dynamics.
-        return TaylorCoeffs(
-            -1.0,
-            0.5,
-            -0.125 + (1.0 / lam + 1.0 / lam**2) / 6.0,
-            -(1.0 / lam + 1.0 / lam**2) / 6.0,
-        )
-    raise ValueError(f"unknown model {model!r}")
+    s = math.inf if model == "oat" else phase_model._signed_coupling(model, lam)
+    g = 1.0 / s - 1.0 / s**2  # a^2 as 1/s^2: a * a rounds differently
+    return TaylorCoeffs(-1.0, 0.5, -0.125 - g / 6.0, g / 6.0)
 
 
 def ratio_R(lam: float) -> float:
@@ -147,16 +137,21 @@ def ratio_R(lam: float) -> float:
 
 
 def zeta2_min(regime: str, lam: float) -> float:
-    """Depth of the periodic witness minima in the two stable regimes."""
+    """Depth of the periodic witness minima in the two stable regimes.
+
+    min(1 - s, 1/(1 - s)) at the signed coupling s of phase_model: 1 - lam
+    around pi ("stable_pi"), 1/(1 + lam) around zero ("zero").
+    """
     if regime == "stable_pi":
         if not 0.0 < lam < 1.0:
             raise ValueError(f"stable_pi requires 0 < lam < 1, got {lam}")
-        return 1.0 - lam
-    if regime == "zero":
+    elif regime == "zero":
         if lam < 0.0:
             raise ValueError(f"zero regime requires lam >= 0, got {lam}")
-        return 1.0 / (1.0 + lam)
-    raise ValueError(f"unknown regime {regime!r}")
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    s = phase_model._signed_coupling(regime.removeprefix("stable_"), lam)
+    return min(1.0 - s, 1.0 / (1.0 - s))
 
 
 def fit_times(n_particles: int, chi: float) -> np.ndarray:

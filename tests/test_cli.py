@@ -4,11 +4,13 @@ import csv
 import importlib
 import json
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import bjjsim.cli
 import bjjsim.exact_dynamics
@@ -335,6 +337,80 @@ class TestParticleLimit:
         with pytest.raises(AssertionError, match="a dense operator was built"):
             run_wigner(cfg, [0.5])
         assert not any(tmp_path.iterdir())
+
+
+class TestCouplingGuards:
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spectrum was solved")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+
+    def test_uncoupled_run_is_config_error(self, tmp_path):
+        # every run is coupled, so RunConfig.regime is always phase_model.regime's answer
+        with pytest.raises(ConfigError, match="omega > 0"):
+            RunConfig(params=ModelParams.twisting(60))
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--state", "zero"],
+        ["fit", "--state", "pi"],
+        ["evolve", "--state", "zero", "--compare", "analytic"],
+        ["evolve", "--state", "pi", "--compare", "analytic,oat"],
+    ])
+    def test_zero_lambda_rejected_before_solving(self, tmp_path, capsys, no_solve, argv):
+        rc = main([*argv, "--n", "60", "--lambda", "0", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "needs lam > 0, got 0.0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, name", [
+        (["evolve", "--state", "zero", "--compare", "oat"], "evolve.csv"),
+        (["oat-compare"], "oat_compare.csv"),
+        (["wigner", "--state", "zero"], "wigner_t00.csv"),
+    ])
+    def test_zero_lambda_runs_without_closed_form(self, tmp_path, argv, name):
+        assert main([*argv, "--n", "20", "--lambda", "0", "--out", str(tmp_path)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+class TestSweepWorkers:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        # a recording stand-in for ProcessPoolExecutor that maps in this process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(bjjsim.cli, "ProcessPoolExecutor", RecordingPool)
+        return started
+
+    def test_more_workers_than_cores_is_config_error(self, tmp_path, capsys, monkeypatch, pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rc = main(["sweep", "--n", "20", "--lambda-grid", "1.5", "--workers", "500",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "workers must be between 1 and the 2 cores, got 500" in capsys.readouterr().err
+        assert pools == [] and not any(tmp_path.iterdir())
+        small_cfg(tmp_path, workers=2)  # the core count itself is admitted
+
+    @pytest.mark.parametrize("grid, started", [("1.5", []), ("1.5,2.5", [2]), ("0.4,1.5,2.5", [3])])
+    def test_pool_starts_no_more_processes_than_rows(self, tmp_path, monkeypatch, pools, grid, started):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert main(["sweep", "--n", "20", "--lambda-grid", grid, "--workers", "8",
+                     "--out", str(tmp_path)]) == 0
+        assert pools == started
 
 
 class TestStepLimit:
