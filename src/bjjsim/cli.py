@@ -31,7 +31,6 @@ from .witnesses import (
     fit_times,
     make_record,
     minimize_zeta2,
-    ratio_R,
     taylor_zeta2,
     zeta2_min,
 )
@@ -181,15 +180,14 @@ def _analytic_row(cfg: RunConfig, times: np.ndarray) -> list:
 
 def _validate_compare(cfg: RunConfig):
     p = cfg.params
-    if "analytic" not in cfg.compare:
+    if "analytic" not in cfg.compare or cfg.regime is not None:
         return
     if not p.lam > 0.0:
         raise ConfigError(f"analytic comparison needs lam > 0, got {p.lam}")
-    if cfg.regime is None:
-        raise ConfigError(
-            f"analytic pi-state comparison undefined at lam = {p.lam}, N = {p.n_particles}: "
-            f"it needs lam < N/(N+1) or lam > 1 + {phase_model.CRITICAL_MARGIN}"
-        )
+    raise ConfigError(
+        f"analytic pi-state comparison undefined at lam = {p.lam}, N = {p.n_particles}: "
+        f"it needs lam < N/(N+1) or lam > 1 + {phase_model.CRITICAL_MARGIN}"
+    )
 
 
 def run_evolve(cfg: RunConfig) -> list[Path]:
@@ -243,12 +241,13 @@ def _sweep_row(args) -> list:
         # no closed-form minimum on the unstable branch or between the branches
         z_ana = zeta2_min(regime, lam) if oscillates else math.nan
 
-        ana = taylor_zeta2(state, lam).in_omega_time(lam)
-        ana_p = (ana.p2, ana.p3, ana.p4)
+        series = taylor_zeta2(state, lam)
+        ana = series.in_omega_time(lam)
         r_num = fit.coeffs.p3 / oat_p3 if oat_p3 else math.nan
+        # r_analytic: the row state's series p3 over the twisting p3, in the N chi t units of r_num
         return [lam, z_min, t_min, z_ana,
-                fit_omega.p2, fit_omega.p3, fit_omega.p4, *ana_p,
-                r_num, ratio_R(lam), "ok"]
+                fit_omega.p2, fit_omega.p3, fit_omega.p4, ana.p2, ana.p3, ana.p4,
+                r_num, series.p3 / taylor_zeta2("oat").p3, "ok"]
     except Exception as exc:  # error rows keep the sweep going
         nan = math.nan
         return [lam, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
@@ -367,10 +366,18 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _config_bool(value: str) -> bool:
+    """true, yes, 1 or false, no, 0, in any case; anything else is a ValueError."""
+    word = value.lower()
+    if word not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(value)
+    return word in ("true", "yes", "1")
+
+
 _CONFIG_KEYS = {
     "n": int, "lam": float, "state": str,
     "t_max": float, "steps": int, "out": str, "format": str, "compare": str,
-    "workers": int, "lambda_grid": str, "snapshots": str, "separatrix": bool,
+    "workers": int, "lambda_grid": str, "snapshots": str, "separatrix": _config_bool,
 }
 
 
@@ -384,9 +391,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         if not hasattr(args, key):
             raise ConfigError(f"config key {key!r} does not apply to {args.command}")
         if getattr(args, key) is None:
-            cast = _CONFIG_KEYS[key]
             try:
-                setattr(args, key, value.lower() in ("1", "true", "yes") if cast is bool else cast(value))
+                setattr(args, key, _CONFIG_KEYS[key](value))
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {value!r}") from exc
     return args

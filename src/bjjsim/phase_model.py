@@ -109,20 +109,22 @@ def regime(state: str, lam: float, n_particles: int) -> str | None:
 
     Each name is the suffix of the cov_* function that evaluates it (and the
     regime of witnesses.zeta2_min).  The zero state has cov_zero at every
-    lam: its well, the pi well at -lam, always confines.  Around pi,
+    lam > 0: its well, the pi well at -lam, always confines.  Around pi,
     cov_stable_pi needs a confining well, (w_pi)^2 > 0, i.e. lam < N/(N+1);
-    cov_unstable_pi needs lam > 1 + CRITICAL_MARGIN.  In
-    the window N/(N+1) <= lam <= 1 + CRITICAL_MARGIN (and for lam <= 0)
-    neither applies, and the answer is None.  The cuts live here only; each
-    cov_* checks its own domain on input.
+    cov_unstable_pi needs lam > 1 + CRITICAL_MARGIN.  At lam <= 0, and for
+    pi in the window N/(N+1) <= lam <= 1 + CRITICAL_MARGIN, none applies,
+    and the answer is None.  The cuts live here only; each cov_* asks this
+    function for its domain.
     """
+    if state not in ("pi", "zero"):
+        raise ValueError(f"unknown initial state {state!r}")
+    if not lam > 0.0:
+        return None
     if state == "zero":
         return "zero"
-    if state != "pi":
-        raise ValueError(f"unknown initial state {state!r}")
     if lam > 1.0 + CRITICAL_MARGIN:
         return "unstable_pi"
-    if 0.0 < lam < 1.0 - CRITICAL_MARGIN and omega_pi_squared(lam, n_particles) > 0.0:
+    if lam < 1.0 - CRITICAL_MARGIN and omega_pi_squared(lam, n_particles) > 0.0:
         return "stable_pi"
     return None
 
@@ -194,6 +196,12 @@ def _cov_pi(omega_t, lam: float, n_particles: int) -> tuple[CovarianceYZ, float]
     return gamma, -1.0 + lam**2 / (4.0 * n_particles * (lam - 1.0)) * (c - 1.0)
 
 
+def _check_regime(name: str, state: str, lam: float, n_particles: int) -> None:
+    """Raise ValueError unless regime(state, lam, N) is `name`."""
+    if regime(state, lam, n_particles) != name:
+        raise ValueError(f"lam = {lam} at N = {n_particles} is outside the {name} regime")
+
+
 def cov_stable_pi(omega_t: float, lam: float, n_particles: int) -> tuple[CovarianceYZ, float]:
     """Covariance and 2<Jx>/N around pi in the oscillatory regime, at time omega_t.
 
@@ -201,12 +209,7 @@ def cov_stable_pi(omega_t: float, lam: float, n_particles: int) -> tuple[Covaria
     "stable_pi"); the witness minima sit at 2 w_pi omega t = n pi with depth
     1 - lam, independent of N.  Elementwise in omega_t.
     """
-    if not 0.0 < lam < 1.0 - CRITICAL_MARGIN:
-        raise ValueError(f"stable branch requires 0 < lam < 1, got {lam}")
-    if omega_pi_squared(lam, n_particles) <= 0.0:
-        raise ValueError(
-            f"pi well not confining at lam={lam}, N={n_particles}; use the unstable branch"
-        )
+    _check_regime("stable_pi", "pi", lam, n_particles)
     return _cov_pi(omega_t, lam, n_particles)
 
 
@@ -215,18 +218,16 @@ def cov_unstable_pi(omega_t: float, lam: float, n_particles: int) -> tuple[Covar
 
     Regime "unstable_pi"; elementwise in omega_t.
     """
-    if lam <= 1.0 + CRITICAL_MARGIN:
-        raise ValueError(f"unstable branch requires lam > 1, got {lam}")
+    _check_regime("unstable_pi", "pi", lam, n_particles)
     return _cov_pi(omega_t, lam, n_particles)
 
 
 def cov_zero(omega_t: float, lam: float, n_particles: int) -> tuple[CovarianceYZ, float]:
-    """Covariance and 2<Jx>/N around the zero minimum (stable for all lam), at time omega_t.
+    """Covariance and 2<Jx>/N around the zero minimum (stable for all lam > 0), at time omega_t.
 
     The pi form at -lam with <Jx> reversed.  Regime "zero"; elementwise in omega_t.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    _check_regime("zero", "zero", lam, n_particles)
     gamma, jx_over_half_n = _cov_pi(omega_t, _signed_coupling("zero", lam), n_particles)
     return gamma, -jx_over_half_n
 

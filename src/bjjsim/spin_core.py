@@ -75,13 +75,11 @@ class ModelParams:
         return self.n_particles * self.chi / self.omega
 
     @classmethod
-    def coupled(cls, n_particles: int, lam: float, omega: float = 1.0) -> "ModelParams":
-        """Coupled junction at a given interaction ratio; time in units 1/omega."""
-        if omega <= 0:
-            raise ValueError("coupled parameters require omega > 0")
+    def coupled(cls, n_particles: int, lam: float) -> "ModelParams":
+        """Coupled junction at interaction ratio lam: omega = 1, chi = lam/N; time in 1/omega."""
         if lam < 0:
             raise ValueError("attractive branch (lam < 0) is out of scope")
-        return cls(n_particles=n_particles, chi=lam * omega / n_particles, omega=omega)
+        return cls(n_particles=n_particles, chi=lam / n_particles, omega=1.0)
 
     @classmethod
     def twisting(cls, n_particles: int, chi: float = 1.0) -> "ModelParams":

@@ -161,23 +161,19 @@ def density_multipoles(psi: StateVector) -> dict[tuple[int, int], complex]:
             for k in range(n + 1) for q in range(-k, k + 1)}
 
 
-def _sphere_grid(rho: np.ndarray, n_theta: int | None = None, n_phi: int | None = None) -> SphereGrid:
+def _sphere_grid(rho: np.ndarray) -> SphereGrid:
     """wigner's summation, from the q >= 0 multipoles rho[k, q] of one state.
 
-    With the theta profiles P_q(theta) = sum_k rho_kq Y_kq(theta, 0) and
+    The grid is max(181, 2N+3) x max(361, 4N+5), a fixed function of N
+    that resolves the band limit k <= N (2(N+1) samples) both ways.  With
+    the theta profiles P_q(theta) = sum_k rho_kq Y_kq(theta, 0) and
     P_{-q} = conj(P_q), each theta row is one real inverse FFT over the
     uniform phi grid, which starts at phi = -pi.  The FFT keeps only Re P_0,
     so the realness check is made on its source: T_k0 is Hermitian, and
     Im rho_k0 must vanish.
     """
     n = rho.shape[-1] - 1
-    band = 2 * (n + 1)
-    if n_theta is None:
-        n_theta = max(181, band + 1)
-    if n_phi is None:
-        n_phi = max(361, 2 * band + 1)
-    if n_theta < band or n_phi < band:
-        raise ValueError(f"grid {n_theta}x{n_phi} under-resolves the band limit {band} for N={n}")
+    n_theta, n_phi = max(181, 2 * n + 3), max(361, 4 * n + 5)
     residue = np.abs(rho[:, 0].imag).max()
     if residue > IMAG_RESIDUE_TOL:
         raise RuntimeError(f"Wigner values not real: imaginary residue {residue:.3e}")
@@ -201,14 +197,13 @@ def _sphere_grid(rho: np.ndarray, n_theta: int | None = None, n_phi: int | None 
     return SphereGrid(thetas, phis, w * (n_phi * np.sqrt((n + 1) / (4.0 * np.pi))))
 
 
-def wigner(psi: StateVector, n_theta: int | None = None, n_phi: int | None = None) -> SphereGrid:
+def wigner(psi: StateVector) -> SphereGrid:
     """Wigner distribution W = sum_kq rho_kq Y_kq, integral-normalized.
 
-    The grid must resolve the band limit k <= N: at least 2(N+1) samples per
-    direction.  Defaults give 181 x 361 up to N = 60 and scale up beyond.
+    On _sphere_grid's grid: 181 x 361 up to N = 60, growing with N beyond.
     """
     rho = _multipole_pass(psi.n_particles, psi.amplitudes.real, psi.amplitudes.imag)
-    return _sphere_grid(rho, n_theta, n_phi)
+    return _sphere_grid(rho)
 
 
 def _separatrix_z(phi: np.ndarray, lam: float) -> np.ndarray:

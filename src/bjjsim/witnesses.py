@@ -131,9 +131,7 @@ def taylor_zeta2(model: str, lam: float | None = None) -> TaylorCoeffs:
 
 def ratio_R(lam: float) -> float:
     """Third-order coefficient ratio between the coupled (pi) and twisting models."""
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    return 1.0 + (4.0 / 3.0) * (1.0 / lam - 1.0 / lam**2)
+    return taylor_zeta2("pi", lam).p3 / taylor_zeta2("oat").p3
 
 
 def zeta2_min(regime: str, lam: float) -> float:

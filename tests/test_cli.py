@@ -37,6 +37,7 @@ from bjjsim.cli import (
 )
 from bjjsim.exact_dynamics import zeta2_of_time
 from bjjsim.spin_core import ModelParams, coherent_state
+from bjjsim.witnesses import taylor_zeta2
 
 
 def read_csv(path):
@@ -171,6 +172,18 @@ class TestSweep:
         row2 = dict(zip(header, rows[1]))
         assert math.isnan(float(row2["zeta2_min_analytic"]))
         assert float(row2["r_analytic"]) == pytest.approx(4.0 / 3.0)
+
+    def test_zero_state_ratio_is_the_zero_series(self, tmp_path):
+        # r_analytic is the row state's p3 over the twisting p3, in the N chi t units of r_numeric
+        assert main(["sweep", "--n", "200", "--state", "zero", "--lambda-grid", "0.4,2.5",
+                     "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "sweep.csv")
+        assert len(rows) == 2
+        for values in rows:
+            row = dict(zip(header, values))
+            r_ana = float(row["r_analytic"])
+            assert r_ana == taylor_zeta2("zero", float(row["lam"])).p3 / taylor_zeta2("oat").p3
+            assert r_ana == pytest.approx(float(row["r_numeric"]), rel=0.05)
 
     def test_row_between_the_pi_branches_has_no_analytic_minimum(self, tmp_path):
         # lam = 0.997 >= N/(N+1) at N = 200: as for lam > 1, no closed-form minimum
@@ -578,6 +591,23 @@ class TestMain:
         conf.write_text("n = 20\nlambda_grid = 1.5\nworkers = 1\nstate = zero\nformat = json\n")
         assert main(["sweep", "--config", str(conf), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "sweep.json").exists()
+
+    @pytest.mark.parametrize("value", ["ture", "on", "2", ""])
+    def test_config_boolean_typo_is_config_error(self, tmp_path, capsys, value):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"n = 20\nlambda = 2.0\nseparatrix = {value}\n")
+        out = tmp_path / "out"
+        assert main(["wigner", "--config", str(conf), "--out", str(out)]) == 1
+        assert "bad value for separatrix" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, separatrix", [("YES", True), ("False", False), ("0", False)])
+    def test_config_booleans_accepted(self, tmp_path, capsys, value, separatrix):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"n = 20\nlambda = 2.0\nseparatrix = {value}\n")
+        assert main(["wigner", "--config", str(conf), "--out", str(tmp_path)]) == 0
+        names = sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".csv")
+        assert names == (["separatrix.csv", "wigner_t00.csv"] if separatrix else ["wigner_t00.csv"])
 
     def test_custom_state_rejected(self, tmp_path, capsys):
         assert main(["evolve", "--state", "custom", "--out", str(tmp_path)]) == 1

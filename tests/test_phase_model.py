@@ -281,9 +281,17 @@ class TestClosedFormCovariances:
                     accepts.append(False)
             want = {(True, False): "stable_pi", (False, True): "unstable_pi", (False, False): None}
             assert pm.regime("pi", lam, n) == want[tuple(accepts)], lam
-            # the zero state has one closed form whatever lam
-            assert pm.regime("zero", lam, n) == "zero", lam
+            # the zero state has one closed form at every lam > 0
+            assert pm.regime("zero", lam, n) == ("zero" if lam > 0 else None), lam
         assert pm.regime("pi", 0.996, N) is None and pm.regime("pi", 0.99, N) == "stable_pi"
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5])
+    def test_no_regime_without_positive_lam(self, lam):
+        # lam <= 0 is outside every closed form, for both states
+        assert pm.regime("zero", lam, N) is None
+        assert pm.regime("pi", lam, N) is None
+        with pytest.raises(ValueError, match="outside the zero regime"):
+            pm.cov_zero(0.1, lam, N)
 
     def test_regime_rejects_unknown_state(self):
         with pytest.raises(ValueError, match="unknown initial state"):

@@ -117,10 +117,6 @@ class TestWignerGrid:
         grid = wigner(coherent_state(N, 0.3, 0.2))
         assert grid.peak_normalized().max() == pytest.approx(1.0)
 
-    def test_under_resolved_grid_rejected(self):
-        with pytest.raises(ValueError, match="band limit"):
-            wigner(coherent_state(N, 0.0, 0.0), n_theta=30, n_phi=30)
-
     def test_rotational_covariance_about_x(self):
         # chi = 0 generates a rigid rotation about x: the evolved state is the
         # coherent state at the Bloch direction rotated about x by -omega t

@@ -147,6 +147,11 @@ class TestRatio:
         assert ratio_R(2.0) > ratio_R(1.5)
         assert ratio_R(2.0) > ratio_R(2.5)
 
+    def test_is_the_pi_series_ratio(self):
+        # one p3 formula: R(lam) is the pi series' p3 over the twisting p3, to the bit
+        for lam in np.geomspace(0.1, 20.0, 500):
+            assert ratio_R(lam) == taylor_zeta2("pi", lam).p3 / taylor_zeta2("oat").p3, lam
+
     def test_consistency_with_series(self):
         lam = 1.7
         assert ratio_R(lam) == pytest.approx(
