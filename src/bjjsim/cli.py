@@ -45,11 +45,13 @@ ENV_OUT_DIR = "BJJ_OUT_DIR"
 MAX_N = 4000
 #: Largest particle number for `wigner`.  Memory is O(N^2): the multipole
 #: pass holds two tensor blocks and (N+1)^2 complex multipoles per snapshot,
-#: and each grid array holds 8 (2N+3)(4N+5) bytes (16 MB at N = 500).  Time
-#: is O(N^3) in the pass and in the Legendre tables, and each snapshot's CSV
-#: holds about 690 N^2 bytes.  At N = 500 (one BLAS thread) one snapshot
-#: runs in 13-14 s at 110 MiB peak RSS and writes 172 MB; two run in 21-23 s
-#: at 114 MiB.  Run time and file size keep the limit at 500: at 2N the
+#: each grid array holds 8 (2N+3)(4N+5) bytes (16 MB at N = 500), and the
+#: CSV writer holds the value text of the northern rows until their mirror
+#: rows are written (about 48 MB at N = 500).  Time is O(N^3) in the pass
+#: and in the Legendre tables, and each snapshot's CSV holds about 690 N^2
+#: bytes.  At N = 500 (2-core host, one BLAS thread) one snapshot runs in
+#: 7-10 s at 146 MiB peak RSS and writes 172 MB; two run in 13 s at
+#: 150 MiB.  Run time and file size keep the limit at 500: at 2N the
 #: O(N^3) parts take 8 times as long and the CSV is 4 times the size.
 #: Memory no longer sets it.
 WIGNER_MAX_N = 500
@@ -299,8 +301,8 @@ def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = No
     multipoles = _multipole_pass(n, re, im)
     written: list[Path] = []
     try:
-        for i, rho in enumerate(multipoles):
-            grid = _sphere_grid(rho)
+        for i, (rho, re_i, im_i) in enumerate(zip(multipoles, re, im)):
+            grid = _sphere_grid(rho, re_i, im_i)
             rows = GridRows(
                 (grid.theta_samples, grid.phi_samples), (grid.values, grid.peak_normalized())
             )
@@ -309,7 +311,7 @@ def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = No
             del grid, rows  # free this grid before the next snapshot's is summed
         if emit_separatrix:
             curve = separatrix_curve(lam)
-            rows = [[ph, z, -z] for ph, z in zip(curve.phi, curve.z)]
+            rows = np.column_stack((curve.phi, curve.z, -curve.z))
             path = cfg.out_dir / f"separatrix.{cfg.fmt}"
             written.append(write_table(path, cfg.fmt, "bjj-separatrix", SEPARATRIX_COLUMNS, rows))
     except Exception:

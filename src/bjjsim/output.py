@@ -30,27 +30,28 @@ class GridRows(NamedTuple):
 
     axes holds the two 1-D sample arrays (a, b), a varying slowest; values
     holds 2-D arrays of shape (len a, len b).  write_csv formats each axis
-    value once instead of once per row.
+    value once instead of once per row, and the values of a mirrored pair
+    of rows once (_write_grid).
     """
 
     axes: tuple
     values: tuple
 
-    def slabs(self):
-        """Yield (a_i, row i of every value array as a (len b, len values) array)."""
+    def arrays(self):
+        """(a, b, [value arrays]) as float arrays, the value shapes checked."""
         a, b = (np.asarray(x, dtype=float) for x in self.axes)
         values = [np.asarray(v, dtype=float) for v in self.values]
         for v in values:
             if v.shape != (a.size, b.size):
                 raise ValueError(f"grid values must be ({a.size},{b.size}), got {v.shape}")
-        for i, x in enumerate(a.tolist()):
-            yield x, np.stack([v[i] for v in values], axis=1)
+        return a, b, values
 
     def expand(self):
         """The same table as ordinary rows."""
-        b = np.asarray(self.axes[1], dtype=float).tolist()
-        for x, slab in self.slabs():
-            for y, vals in zip(b, slab.tolist()):
+        a, b, values = self.arrays()
+        b = b.tolist()
+        for i, x in enumerate(a.tolist()):
+            for y, *vals in zip(b, *(v[i].tolist() for v in values)):
                 yield [x, y, *vals]
 
 
@@ -87,12 +88,40 @@ def _write_rows(fh, schema_name: str, ncol: int, rows) -> None:
 
 
 def _write_grid(fh, grid: GridRows) -> None:
-    """One string operation per a-row: the b values are formatted once, into line tails."""
-    fields = ",%.17g" * len(grid.values) + "\n"
-    tails = [",%.17g%s" % (y, fields) for y in np.asarray(grid.axes[1], dtype=float).tolist()]
-    for x, slab in grid.slabs():
+    """One string operation per a-row: the b values are formatted once, into line tails.
+
+    Row n_a-1-i that equals row i read backwards in b (index -j mod n_b,
+    the reflection phi -> -phi of a periodic grid starting at -pi), bit for
+    bit in every value array, reuses row i's formatted values: row i is
+    formatted into one string, held until its mirror is written, and both
+    rows are filled in from its pieces with a '%s' template.
+    """
+    a, b, values = grid.arrays()
+    n_a, n_b = a.size, b.size
+    flip = (-np.arange(n_b)) % n_b
+    bits = [v.view(np.int64) for v in values]
+    mirrored = {
+        i for i in range(n_a // 2)
+        if all(np.array_equal(v[n_a - 1 - i], v[i, flip]) for v in bits)
+    }
+    held = {}  # mirrored row i -> its values, one line of ",%.17g" fields per b
+    cells = ",%.17g" * len(values) + "\n"
+    y_text = ["%.17g" % y for y in b.tolist()]
+    tails = ["," + y + cells for y in y_text]
+    filled = ["," + y + "%s\n" for y in y_text]
+    flip = flip.tolist()
+    for i, x in enumerate(a.tolist()):
         head = "%.17g" % x
-        fh.write((head + head.join(tails)) % tuple(slab.ravel().tolist()))
+        if n_a - 1 - i in mirrored:
+            pieces = held.pop(n_a - 1 - i).split("\n")
+            fh.write((head + head.join(filled)) % tuple([pieces[j] for j in flip]))
+            continue
+        flat = tuple(np.stack([v[i] for v in values], axis=1).ravel().tolist())
+        if i in mirrored:
+            held[i] = (cells * n_b) % flat
+            fh.write((head + head.join(filled)) % tuple(held[i].split("\n")[:-1]))
+        else:
+            fh.write((head + head.join(tails)) % flat)
 
 
 @contextmanager

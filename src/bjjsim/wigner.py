@@ -161,8 +161,8 @@ def density_multipoles(psi: StateVector) -> dict[tuple[int, int], complex]:
             for k in range(n + 1) for q in range(-k, k + 1)}
 
 
-def _sphere_grid(rho: np.ndarray) -> SphereGrid:
-    """wigner's summation, from the q >= 0 multipoles rho[k, q] of one state.
+def _sphere_grid(rho: np.ndarray, re: np.ndarray, im: np.ndarray) -> SphereGrid:
+    """wigner's summation, from the q >= 0 multipoles rho[k, q] of the state re + i*im.
 
     The grid is max(181, 2N+3) x max(361, 4N+5), a fixed function of N
     that resolves the band limit k <= N (2(N+1) samples) both ways.  With
@@ -171,6 +171,16 @@ def _sphere_grid(rho: np.ndarray) -> SphereGrid:
     uniform phi grid, which starts at phi = -pi.  The FFT keeps only Re P_0,
     so the realness check is made on its source: T_k0 is Hermitian, and
     Im rho_k0 must vanish.
+
+    Profiles are summed only for theta <= pi/2 (n_theta is odd, so the
+    equator is row n_theta // 2).  The exchange m -> -m reflects the sphere,
+    (theta, phi) -> (pi - theta, -phi), and on this phi grid -phi_j is
+    phi at index -j mod n_phi.  So a state whose amplitudes are an exact
+    palindrome, c_m == c_{-m} (every snapshot the kernel's _from_parity
+    builds from an even sector), takes row n_theta-1-i as row i read at
+    index -j mod n_phi.  Any other state takes its southern rows from the
+    same Legendre table with multipoles (-1)^(k+q) rho_kq, since
+    Y_kq(pi - theta, 0) = (-1)^(k+q) Y_kq(theta, 0).
     """
     n = rho.shape[-1] - 1
     n_theta, n_phi = max(181, 2 * n + 3), max(361, 4 * n + 5)
@@ -180,18 +190,28 @@ def _sphere_grid(rho: np.ndarray) -> SphereGrid:
 
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(-np.pi, np.pi, n_phi, endpoint=False)
+    even = np.array_equal(re, re[::-1]) and np.array_equal(im, im[::-1])
     # e^{i q phi_j} = (-1)^q e^{2 pi i q j / n_phi} on this grid
-    shifted = rho * (-1.0) ** np.arange(n + 1)
+    k, q = np.ogrid[: n + 1, : n + 1]
+    shifted = rho * (-1.0) ** q
+    # north, then (unless mirrored) south multipoles
+    coef = shifted[None] if even else np.stack([shifted, shifted * (-1.0) ** (k + q)])
     w = np.empty((n_theta, n_phi))
+    north = n_theta // 2 + 1
     # the Legendre table costs (N+1)(2N+1) doubles per theta; at most TABLE_DOUBLES at once
     step = max(1, TABLE_DOUBLES // ((n + 1) * (2 * n + 1)))
-    for start in range(0, n_theta, step):
-        sl = slice(start, start + step)
+    for start in range(0, north, step):
+        sl = slice(start, min(start + step, north))
         table = sph_legendre_p_all(n, n, thetas[sl])[0][:, : n + 1]  # (k, q >= 0, theta)
-        prof = np.einsum("kqt,kq->tq", table, shifted.real) + 1j * np.einsum(
-            "kqt,kq->tq", table, shifted.imag
+        prof = np.einsum("kqt,skq->stq", table, coef.real) + 1j * np.einsum(
+            "kqt,skq->stq", table, coef.imag
         )
-        w[sl] = np.fft.irfft(prof, n=n_phi, axis=1)
+        rows = np.fft.irfft(prof, n=n_phi, axis=-1)
+        if not even:
+            w[::-1][sl] = rows[1]
+        w[sl] = rows[0]  # after the south rows: the equator is its own mirror
+    if even:
+        w[north:] = w[north - 2 :: -1, (-np.arange(n_phi)) % n_phi]
     # n_phi undoes irfft's 1/n_phi; the k = 0 multipole alone carries the trace,
     # which gives the unit solid-angle integral
     return SphereGrid(thetas, phis, w * (n_phi * np.sqrt((n + 1) / (4.0 * np.pi))))
@@ -202,8 +222,8 @@ def wigner(psi: StateVector) -> SphereGrid:
 
     On _sphere_grid's grid: 181 x 361 up to N = 60, growing with N beyond.
     """
-    rho = _multipole_pass(psi.n_particles, psi.amplitudes.real, psi.amplitudes.imag)
-    return _sphere_grid(rho)
+    re, im = psi.amplitudes.real, psi.amplitudes.imag
+    return _sphere_grid(_multipole_pass(psi.n_particles, re, im), re, im)
 
 
 def _separatrix_z(phi: np.ndarray, lam: float) -> np.ndarray:

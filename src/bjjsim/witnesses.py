@@ -144,8 +144,8 @@ def zeta2_min(regime: str, lam: float) -> float:
         if not 0.0 < lam < 1.0:
             raise ValueError(f"stable_pi requires 0 < lam < 1, got {lam}")
     elif regime == "zero":
-        if lam < 0.0:
-            raise ValueError(f"zero regime requires lam >= 0, got {lam}")
+        if not lam > 0.0:
+            raise ValueError(f"zero regime requires lam > 0, got {lam}")
     else:
         raise ValueError(f"unknown regime {regime!r}")
     s = phase_model._signed_coupling(regime.removeprefix("stable_"), lam)

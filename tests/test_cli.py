@@ -20,6 +20,7 @@ from bjjsim.cli import (
     ENV_OUT_DIR,
     MAX_N,
     MAX_STEPS,
+    SEPARATRIX_COLUMNS,
     SWEEP_COLUMNS,
     WIGNER_MAX_N,
     ConfigError,
@@ -37,6 +38,7 @@ from bjjsim.cli import (
 )
 from bjjsim.exact_dynamics import zeta2_of_time
 from bjjsim.spin_core import ModelParams, coherent_state
+from bjjsim.wigner import separatrix
 from bjjsim.witnesses import taylor_zeta2
 
 
@@ -272,6 +274,24 @@ class TestWigner:
         assert header == ["theta", "phi", "w_raw", "w_peak_normalized"]
         peak = max(float(r[3]) for r in rows)
         assert peak == pytest.approx(1.0)
+
+    def test_snapshot_rows_mirror_across_the_equator(self, tmp_path):
+        # the pi state is exchange-even: row n_theta-1-i is row i at phi index -j mod n_phi
+        cfg = small_cfg(tmp_path, params=ModelParams.coupled(30, 2.0))
+        _, rows = read_csv(run_wigner(cfg, [1.0], want_separatrix=False)[0])
+        w = np.array([r[2:] for r in rows]).reshape(181, 361, 2)
+        mirror = w[::-1, (-np.arange(361)) % 361]
+        assert (w[91:] == mirror[91:]).all()
+
+    def test_separatrix_rows_are_the_curve(self, tmp_path):
+        cfg = small_cfg(tmp_path, params=ModelParams.coupled(30, 2.0))
+        path = run_wigner(cfg, [0.0])[-1]
+        assert path.name == "separatrix.csv"
+        header, rows = read_csv(path)
+        assert header == list(SEPARATRIX_COLUMNS)
+        curve = separatrix(2.0)
+        assert rows == [["%.17g" % x for x in (ph, z, -z)] for ph, z in zip(curve.phi, curve.z)]
+        assert ["3.1415926535897931", "0", "-0"] in rows  # the fixed point (pi, 0)
 
     def test_no_separatrix_when_subcritical(self, tmp_path):
         cfg = small_cfg(tmp_path, params=ModelParams.coupled(30, 0.5))

@@ -108,6 +108,39 @@ def test_grid_rows_edge_values_on_axes_and_values(tmp_path, fmt):
         assert data_lines(got) == per_field(expanded(grid))
 
 
+def mirror_rows(grid, rows):
+    """grid with row n_a-1-i set to row i read backwards in b (index -j mod n_b), for i in rows."""
+    (a, b), values = grid
+    flip = (-np.arange(b.size)) % b.size
+    values = [v.copy() for v in values]
+    for v in values:
+        for i in rows:
+            v[a.size - 1 - i] = v[i, flip]
+    return GridRows((a, b), tuple(values))
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (2, 1), (9, 13), (10, 12)])
+@pytest.mark.parametrize("part", ["all", "some", "none"])
+def test_mirrored_grid_rows_match_expanded_rows(tmp_path, shape, part):
+    grid = grid_table(*shape, seed=shape[0] * 100 + shape[1])
+    half = range(shape[0] // 2)
+    grid = mirror_rows(grid, {"all": half, "some": half[::2], "none": []}[part])
+    got = write_csv(tmp_path / "g.csv", "t", GRID_COLUMNS, grid)
+    want = write_csv(tmp_path / "r.csv", "t", GRID_COLUMNS, expanded(grid))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_mirror_equal_only_up_to_signed_zero_is_formatted_as_is(tmp_path):
+    # 0.0 == -0.0, but the two write as "0" and "-0": such a row is not a mirror
+    a, b = np.arange(3.0), np.array([-1.0, 0.0, 1.0])
+    v = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [-0.0, 2.0, 1.0]])
+    w = np.array([[0.5, 0.25, -0.0], [3.0, 4.0, 5.0], [0.5, 0.0, 0.25]])
+    grid = GridRows((a, b), (v, w))
+    got = write_csv(tmp_path / "g.csv", "t", GRID_COLUMNS, grid)
+    assert data_lines(got) == per_field(expanded(grid))
+    assert data_lines(got)[6:] == ["2,-1,-0,0.5", "2,0,2,0", "2,1,1,0.25"]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n_values", [1, 3])
 def test_grid_field_count_validated_without_leftovers(tmp_path, fmt, n_values):

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import sph_harm_y
+from scipy.special import sph_harm_y, sph_legendre_p_all
 
-from bjjsim.exact_dynamics import eigendecompose, evolve, hamiltonian
-from bjjsim.spin_core import ModelParams, coherent_state
+from bjjsim.exact_dynamics import _witness_kernel, eigendecompose, evolve, hamiltonian
+from bjjsim.spin_core import ModelParams, StateVector, coherent_state
 from bjjsim.phase_model import omega_pi_squared
 from bjjsim.wigner import (
     ROOT_RESIDUAL_TOL,
@@ -157,12 +157,25 @@ def direct_wigner(psi, thetas, phis):
     return w.real * np.sqrt((n + 1) / (4.0 * np.pi))
 
 
+def kernel_snapshot(n, lam=2.0, t=0.9):
+    """The pi state at t as cli.run_wigner takes it: the kernel's even block in the Dicke basis."""
+    psi0 = coherent_state(n, np.pi / 2, np.pi)
+    ((_, re, im),) = _witness_kernel(ModelParams.coupled(n, lam), psi0).states(np.array([t]))
+    return StateVector(n, re[0] + 1j * im[0])
+
+
+def mirrored(values):
+    """values read at (pi - theta, -phi): row n_theta-1-i, phi index -j mod n_phi."""
+    return values[::-1, (-np.arange(values.shape[1])) % values.shape[1]]
+
+
 class TestWignerKernel:
     def test_grid_matches_direct_sum(self):
-        psi = evolved_state(10)
-        grid = wigner(psi)
-        ref = direct_wigner(psi, grid.theta_samples, grid.phi_samples)
-        assert np.abs(grid.values - ref).max() < 1e-12
+        # general states (south from the signed multipoles) and an exactly even one (mirrored)
+        for psi in (evolved_state(10), coherent_state(10, 1.0, 0.3), kernel_snapshot(10)):
+            grid = wigner(psi)
+            ref = direct_wigner(psi, grid.theta_samples, grid.phi_samples)
+            assert np.abs(grid.values - ref).max() < 1e-12
 
     def test_large_n_rows_match_direct_sum(self):
         psi = evolved_state(100, lam=2.5, t=1.1)
@@ -170,6 +183,33 @@ class TestWignerKernel:
         rows = [0, 37, grid.theta_samples.size // 2, grid.theta_samples.size - 1]
         ref = direct_wigner(psi, grid.theta_samples[rows], grid.phi_samples)
         assert np.abs(grid.values[rows] - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [N, 60])
+    def test_even_snapshot_is_mirrored_bitwise(self, n):
+        psi = kernel_snapshot(n)
+        assert np.array_equal(psi.amplitudes, psi.amplitudes[::-1])
+        w = wigner(psi).values
+        bits, mirror_bits = w.view(np.int64), mirrored(w).view(np.int64)
+        # every row but the equator, which is summed and mirrors itself to roundoff
+        eq = w.shape[0] // 2
+        assert np.array_equal(np.delete(bits, eq, 0), np.delete(mirror_bits, eq, 0))
+        assert np.abs(w[eq] - mirrored(w)[eq]).max() < 1e-13 * w.max()
+
+    @pytest.mark.parametrize("table_doubles", [1, 1 << 17])
+    def test_legendre_tables_cover_the_north_only(self, monkeypatch, table_doubles):
+        module = importlib.import_module("bjjsim.wigner")
+        monkeypatch.setattr(module, "TABLE_DOUBLES", table_doubles)
+        sizes = []
+
+        def counting(n, m, theta):
+            sizes.append(np.size(theta))
+            return sph_legendre_p_all(n, m, theta)
+
+        monkeypatch.setattr(module, "sph_legendre_p_all", counting)
+        for psi in (kernel_snapshot(N), coherent_state(N, 1.0, 0.3)):
+            sizes.clear()
+            grid = wigner(psi)
+            assert sum(sizes) <= -(-grid.theta_samples.size // 2)
 
     def test_theta_chunking_does_not_change_values(self, monkeypatch):
         psi = evolved_state(N)

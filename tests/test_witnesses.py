@@ -163,11 +163,14 @@ class TestMinimumDepths:
     def test_values(self):
         assert zeta2_min("stable_pi", 0.5) == pytest.approx(0.5)
         assert zeta2_min("zero", 1.0) == pytest.approx(0.5)
-        assert zeta2_min("zero", 0.0) == pytest.approx(1.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             zeta2_min("stable_pi", 1.5)
+        # the domain of phase_model.regime, which has no closed form at lam <= 0
+        for lam in (0.0, -0.5):
+            with pytest.raises(ValueError, match="lam > 0"):
+                zeta2_min("zero", lam)
         with pytest.raises(ValueError):
             zeta2_min("spiral", 0.5)
 
