@@ -56,10 +56,11 @@ MAX_N = 4000
 #: Memory no longer sets it.
 WIGNER_MAX_N = 500
 #: Most time steps accepted by `evolve` and `oat-compare`.  Every column is
-#: an array of n_steps doubles, and the JSON writer holds each row as Python
-#: floats: `evolve --compare analytic,oat --format json` peaks at about
-#: 1.35 kB per step (332 MB RSS at 200 000 steps for N = 60, 335 MB for
-#: N = 1000; CSV 151 MB), the peak of the largest fit and sweep at MAX_N.
+#: an array of n_steps doubles, and both writers convert and write the rows
+#: a block at a time: `evolve --compare analytic,oat` peaks at about
+#: 0.4 kB per step in CSV and in JSON (156 MB RSS at 200 000 steps for
+#: N = 60, 158 MB in JSON for N = 1000), half the peak of the largest fit
+#: and sweep at MAX_N.
 MAX_STEPS = 200_000
 
 EVOLVE_COLUMNS = (

@@ -6,8 +6,8 @@ tridiagonal in the Dicke basis, so the full spectrum costs O(N^2).  It
 also commutes with the mode exchange m -> -m, so trajectories, the
 minimum search and the Wigner snapshots propagate in its even and odd
 blocks (parity_spectrum), and only in those the initial state occupies:
-the equatorial coherent states are even, which takes one solve and one
-propagation of size N/2+1.
+the equatorial coherent states are even, which takes one solve, one
+propagation and one moment reduction of size N/2+1.
 """
 
 from __future__ import annotations
@@ -32,22 +32,33 @@ from .spin_core import (
 )
 from .witnesses import WitnessRecord, make_record
 
-#: Doubles of propagated amplitudes (real and imaginary parts) that
-#: trajectory holds at once, 8 MiB; times go through in blocks of at most
-#: this size, one time at least.  The band reduction of a block takes a
-#: few times as much in temporaries.
+#: Doubles of propagated Dicke amplitudes (real and imaginary parts) per
+#: block of times, 8 MiB: the products with U take PROPAGATION_DOUBLES //
+#: (2 (N+1)) times at once, one time at least, which in one parity block
+#: holds about half as much.  Smaller blocks would cost the products time
+#: (a slice of 8 times instead of 524 in one product takes 3.3x as long at
+#: N = 4000) and change their bits.
 PROPAGATION_DOUBLES = 2**20
 
+#: Doubles of one slice of rows (times) in the kernel's elementwise
+#: stages, 256 KiB: the phases, their combination with c and the moment
+#: reduction run a slice at a time, so that a slice and its temporaries
+#: stay in cache.  Each stage works row by row, so the slicing moves no
+#: bits.
+SLICE_DOUBLES = 2**15
+
 #: Norm at or below which psi0's part in a parity block counts as empty,
-#: so that block is neither solved nor propagated.  Dropping a part o
-#: changes no check's verdict and no reported value beyond roundoff:
-#: <Jy> and <Jz>, odd under m -> -m, move by at most 2 |<e|J|o>| <= N |o|,
-#: a thousandth of the first-moment limit FIRST_MOMENT_TOL * N; the norm
-#: moves by |o|^2 <= 1e-22, far inside NORM_TOL; and the even moments
-#: (norm, <Jx>, gzz, gyy, gyz) move by <o|A|o> <= |A| |o|^2 <= N |o|^2, at
-#: most 4e-19 at N = 4000, below one ulp of a value of size 1.  Roundoff
-#: alone leaves |o| = 5.5e-14 in coherent_state(1000, pi/2, pi) and
-#: 2.6e-13 at N = 4000, 38x below.
+#: so that block is neither solved nor propagated, and the one block left
+#: is reduced in its own coordinates (band_moments), where <Jy> and <Jz>
+#: are exactly 0.  Dropping a part o changes no check's verdict and no
+#: reported value beyond roundoff: <Jy> and <Jz>, odd under m -> -m, would
+#: be at most 2 |<e|J|o>| <= N |o| with o kept, a thousandth of the
+#: first-moment limit FIRST_MOMENT_TOL * N; the norm moves by
+#: |o|^2 <= 1e-22, far inside NORM_TOL; and the even moments (norm, <Jx>,
+#: gzz, gyy, gyz) move by <o|A|o> <= |A| |o|^2 <= N |o|^2, at most 4e-19
+#: at N = 4000, below one ulp of a value of size 1.  Roundoff alone leaves
+#: |o| = 5.5e-14 in coherent_state(1000, pi/2, pi) and 2.6e-13 at
+#: N = 4000, 38x below.
 EMPTY_SECTOR_NORM = 1e-3 * FIRST_MOMENT_TOL
 
 _SQRT2 = np.sqrt(2.0)
@@ -190,15 +201,15 @@ def _from_parity(even: np.ndarray, odd: np.ndarray | None = None) -> np.ndarray:
 def _parity_sectors(params: ModelParams, psi0: StateVector):
     """The parity blocks psi0 occupies, and the map of their amplitudes to the Dicke basis.
 
-    Each block is (eigenvalues, block eigenvectors, coordinates of psi0); a
-    block where psi0 has norm at most EMPTY_SECTOR_NORM is left out
-    unsolved.  The map takes the blocks' amplitudes in the same order.
+    Each block is (parity, eigenvalues, block eigenvectors, coordinates of
+    psi0); a block where psi0 has norm at most EMPTY_SECTOR_NORM is left
+    out unsolved.  The map takes the blocks' amplitudes in the same order.
     """
     even, odd = _parity_coords(psi0.amplitudes)
 
     def block(parity, coords):
         spec = parity_spectrum(params, parity)
-        return spec.eigenvalues, spec.eigenvectors, coords
+        return parity, spec.eigenvalues, spec.eigenvectors, coords
 
     if np.linalg.norm(odd) <= EMPTY_SECTOR_NORM:
         return [block(1, even)], lambda parts: _from_parity(parts[0])
@@ -232,21 +243,26 @@ def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
     N/2+1 for the equatorial coherent states.  The times may come in any
     order; each call is one pass through them.  In each sector c = U^T p
     is formed once; every block of at most PROPAGATION_DOUBLES doubles of
-    amplitudes is propagated as two real matrix products U Re(e^{-iwt} c)
-    and U Im(e^{-iwt} c), and the parity sectors are mirrored back into
-    the Dicke basis (_from_parity, O(N) per time).  records.states(times)
-    yields those blocks, (times, Re psi, Im psi) with one state per row in
-    the Dicke basis; records(times) reduces them to moments by O(N) band
-    arithmetic per time (spin_core.band_moments), then over all times at
-    once runs the norm check, the first-moment check and one make_record
-    call; each check fails with the dense reference's ValueError (evolve,
-    covariance_yz, make_record) at the earliest time that fails it.
+    Dicke amplitudes is propagated as two real matrix products
+    U Re(e^{-iwt} c) and U Im(e^{-iwt} c).  records.states(times) yields
+    those blocks, (times, Re psi, Im psi) with one state per row, the
+    parity sectors mirrored back into the Dicke basis (_from_parity).
+    records(times) reduces them to moments by O(N) band arithmetic per
+    time (spin_core.band_moments): in the sector's own coordinates when
+    there is one sector, so one parity block is never mirrored, and in
+    the Dicke basis when both blocks are held.  Then, over all times at
+    once, it runs the norm check, the first-moment check and one
+    make_record call; each check fails with the dense reference's
+    ValueError (evolve, covariance_yz, make_record) at the earliest time
+    that fails it.  The phases, their combination with c and the
+    reduction run over slices of rows of at most SLICE_DOUBLES doubles,
+    which move no bits: every one of these stages works row by row.
     """
     n = psi0.n_particles
     if isinstance(source, Spectrum):
         if source.dim != psi0.dim:
             raise ValueError(f"dimension mismatch: spectrum dim={source.dim}, state dim={psi0.dim}")
-        sectors = [(source.eigenvalues, source.eigenvectors, psi0.amplitudes)]
+        sectors = [(None, source.eigenvalues, source.eigenvectors, psi0.amplitudes)]
         embed = lambda parts: parts[0]
     else:
         if source.n_particles != n:
@@ -254,25 +270,44 @@ def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
                 f"dimension mismatch: model dim={source.n_particles + 1}, state dim={psi0.dim}"
             )
         sectors, embed = _parity_sectors(source, psi0)
-    sectors = [(w, u, p.real @ u, p.imag @ u) for w, u, p in sectors]
+    sectors = [(parity, w, u, p.real @ u, p.imag @ u) for parity, w, u, p in sectors]
     chunk = max(1, PROPAGATION_DOUBLES // (2 * psi0.dim))
 
-    def states(times: np.ndarray):
-        # one block at least, so that no times reduce to empty moments
+    def slices(size: int, width: int):
+        # one slice at least, so that no times reduce to empty moments
+        step = max(1, SLICE_DOUBLES // (2 * width))
+        return [slice(start, start + step) for start in range(0, max(size, 1), step)]
+
+    def propagate(times: np.ndarray):
+        """Blocks (times, [(Re psi, Im psi) in each sector's coordinates])."""
         for start in range(0, max(times.size, 1), chunk):
             ts = times[start : start + chunk]
-            re, im = [], []
+            parts = []
             # rows are states: psi(t) = (e^{-iwt} * c) U^T in each sector
-            for energies, u, c_re, c_im in sectors:
-                phase = np.outer(ts, energies)
-                cos, sin = np.cos(phase), np.sin(phase)
-                re.append((cos * c_re + sin * c_im) @ u.T)
-                im.append((cos * c_im - sin * c_re) @ u.T)
-            yield ts, embed(re), embed(im)
+            for _, energies, u, c_re, c_im in sectors:
+                a_re, a_im = np.empty((2, ts.size, energies.size))
+                for rows in slices(ts.size, energies.size):
+                    phase = np.outer(ts[rows], energies)
+                    cos, sin = np.cos(phase), np.sin(phase)
+                    a_re[rows] = cos * c_re + sin * c_im
+                    a_im[rows] = cos * c_im - sin * c_re
+                parts.append((a_re @ u.T, a_im @ u.T))
+            yield ts, parts
+
+    def states(times: np.ndarray):
+        for ts, parts in propagate(times):
+            yield ts, embed([re for re, _ in parts]), embed([im for _, im in parts])
 
     def records(times: np.ndarray) -> WitnessRecord:
-        blocks = [band_moments(n, re, im) for _, re, im in states(times)]
-        mom = BandMoments(*(np.concatenate(column) for column in zip(*blocks)))
+        if len(sectors) == 1:
+            parity = sectors[0][0]
+            blocks = ((ts, *parts[0]) for ts, parts in propagate(times))
+        else:
+            parity, blocks = None, states(times)
+        # the module's band_moments at call time
+        moments = [band_moments(n, re[rows], im[rows], parity)
+                   for _, re, im in blocks for rows in slices(len(re), re.shape[-1])]
+        mom = BandMoments(*(np.concatenate(column) for column in zip(*moments)))
         check_normalized(mom.norm)
         check_first_moments(mom.jy, mom.jz, n)
         return make_record(times, mom.jx, CovarianceYZ(mom.gzz, mom.gyy, mom.gyz), n)

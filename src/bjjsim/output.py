@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 SCHEMA_VERSION = 1
-BLOCK_ROWS = 4096  # rows formatted per string operation in write_csv
+BLOCK_ROWS = 4096  # rows formatted per string operation in write_csv and write_json
 
 
 def format_float(x) -> str:
@@ -164,24 +164,45 @@ def write_csv(path: Path, schema_name: str, columns, rows) -> Path:
     return path
 
 
+def _json_rows(block: list, ncol: int) -> str:
+    """The rows of a block as json.dump(..., indent=1) writes them two levels deep.
+
+    Numeric blocks go through one '%r' template (float repr is JSON's
+    number text), with JSON's NaN and Infinity spelled after; blocks
+    holding a string go through json.dumps, indented one level further.
+    """
+    if not any(isinstance(c, str) for row in block for c in row):
+        row = "  [\n" + ",\n".join(["   %r"] * ncol) + "\n  ]"
+        text = ",\n".join([row] * len(block)) % tuple(chain.from_iterable(block))
+        return text.replace("nan", "NaN").replace("inf", "Infinity")
+    return " " + json.dumps(block, indent=1)[2:-2].replace("\n", "\n ")
+
+
 def write_json(path: Path, schema_name: str, columns, rows) -> Path:
-    """Write rows atomically as one JSON object with schema, columns and rows."""
+    """Write rows atomically as one JSON object with schema, columns and rows.
+
+    The bytes of json.dump(payload, indent=1, sort_keys=True) plus a
+    newline, every number as a float; the rows are converted and written
+    a block of BLOCK_ROWS at a time, so no more than one block is held as
+    Python objects.
+    """
     path = Path(path)
     ncol = len(columns)
     if isinstance(rows, GridRows):
         rows = rows.expand()
-    payload_rows = []
-    for row in chain.from_iterable(_blocks(rows)):
-        _check_width(len(row), ncol, schema_name)
-        payload_rows.append([c if isinstance(c, str) else float(c) for c in row])
-    payload = {
-        "schema": f"{schema_name}-v{SCHEMA_VERSION}",
-        "columns": list(columns),
-        "rows": payload_rows,
-    }
+    frame = {"schema": f"{schema_name}-v{SCHEMA_VERSION}", "columns": list(columns), "rows": []}
+    # keys sorted: the rows go between "columns" and "schema"
+    head, tail = json.dumps(frame, indent=1, sort_keys=True).split('\n "rows": []', 1)
     with _atomic_write(path) as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(head + '\n "rows": [')
+        empty = True
+        for block in _blocks(rows):
+            for row in block:
+                _check_width(len(row), ncol, schema_name)
+            block = [[c if isinstance(c, str) else float(c) for c in row] for row in block]
+            fh.write(("\n" if empty else ",\n") + _json_rows(block, ncol))
+            empty = False
+        fh.write(("]" if empty else "\n ]") + tail + "\n")
     return path
 
 

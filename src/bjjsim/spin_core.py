@@ -2,7 +2,9 @@
 
 Everything here lives in the Dicke basis of N two-mode bosons: the
 (N+1)-dimensional joint eigenbasis of J^2 and Jz, with amplitudes stored
-in ascending order of the population imbalance m = -N/2 ... +N/2.
+in ascending order of the population imbalance m = -N/2 ... +N/2.  Only
+band_moments also reads the coordinates of one block of the mode
+exchange m -> -m.
 """
 
 from __future__ import annotations
@@ -279,31 +281,61 @@ class BandMoments(NamedTuple):
     gyz: np.ndarray
 
 
-def band_moments(n_particles: int, re: np.ndarray, im: np.ndarray) -> BandMoments:
+def band_moments(n_particles: int, re: np.ndarray, im: np.ndarray, parity: int | None = None) -> BandMoments:
     """Norm, <Jx>, <Jy>, <Jz> and 2<{Ji, Jj}>/N in the y-z plane of each state.
 
-    The states are the rows re + i*im (a single state may be 1-D).  Jz is
-    the diagonal m and Jx, Jy couple neighbouring m through the ladder
-    factors, so every moment is O(N) band arithmetic per state, with no
-    operator matrix.  The values are those of covariance_yz and expectation
-    up to summation order; no first-moment check is applied here.
+    The states are the rows re + i*im (a single state may be 1-D), in the
+    Dicke basis (parity None, N+1 amplitudes) or in the coordinates of one
+    block of the mode exchange m -> -m (parity +1, the N/2+1 even
+    coordinates, or -1, the N/2 odd ones; see exact_dynamics._parity_coords).
+    Jz is the diagonal m and Jx, Jy couple neighbouring m through the
+    ladder factors, so every moment is O(N) band arithmetic per state, with
+    no operator matrix.  The values are those of covariance_yz and
+    expectation up to summation order; no first-moment check is applied here.
+
+    A state of one block is its mirror image up to sign, so its moments
+    are sums over m >= 0 in block coordinates c_i, i = |m| = 0 ... N/2:
+    weights i, and the even block's ladder factors f_{N/2+i} with the
+    first scaled by sqrt(2) (the bands of exact_dynamics.parity_spectrum);
+    the odd coordinates take a zero at i = 0.  2i Jy maps the block onto
+    the other one, whose i = 0 coordinate the even block's stencil drops
+    (it is odd) and the odd block's keeps.  <Jy> and <Jz> are exactly 0,
+    since Jy and Jz map each block onto the other.
     """
     n = _validate_even_n(n_particles)
-    m, f = m_values(n), raising_coefficients(n)
+    if parity is None:
+        m, f = m_values(n), raising_coefficients(n)
+    elif parity in (1, -1):
+        j = n // 2
+        m, f = np.arange(j + 1.0), raising_coefficients(n)[j:]
+        f[0] *= np.sqrt(2.0)
+        if parity == -1:
+            pad = np.zeros(np.shape(re)[:-1] + (1,))
+            re, im = np.concatenate((pad, re), axis=-1), np.concatenate((pad, im), axis=-1)
+    else:
+        raise ValueError(f"parity must be +1, -1 or None, got {parity}")
     prob = re * re + im * im
     # 2i Jy psi = (J+ - J-) psi, with (J+ psi)_{k+1} = f_k psi_k and (J- psi)_k = f_k psi_{k+1}
     d_re, d_im = np.zeros_like(re), np.zeros_like(im)
     d_re[..., 1:] = f * re[..., :-1]
-    d_re[..., :-1] -= f * re[..., 1:]
     d_im[..., 1:] = f * im[..., :-1]
-    d_im[..., :-1] -= f * im[..., 1:]
+    if parity == 1:
+        d_re[..., 1:-1] -= f[1:] * re[..., 2:]
+        d_im[..., 1:-1] -= f[1:] * im[..., 2:]
+    else:
+        d_re[..., :-1] -= f * re[..., 1:]
+        d_im[..., :-1] -= f * im[..., 1:]
     jy_density = re * d_im - im * d_re  # 2 Re(conj(psi) * Jy psi), element by element
+    if parity is None:
+        jy, jz = 0.5 * jy_density.sum(axis=-1), (m * prob).sum(axis=-1)
+    else:
+        jy, jz = np.zeros(prob.shape[:-1]), np.zeros(prob.shape[:-1])
     return BandMoments(
         norm=np.sqrt(prob.sum(axis=-1)),
         # <Jx> = sum_k f_k Re(conj(psi_k) psi_{k+1})
         jx=(f * (re[..., :-1] * re[..., 1:] + im[..., :-1] * im[..., 1:])).sum(axis=-1),
-        jy=0.5 * jy_density.sum(axis=-1),
-        jz=(m * prob).sum(axis=-1),
+        jy=jy,
+        jz=jz,
         gzz=4.0 * (m * m * prob).sum(axis=-1) / n,
         gyy=(d_re * d_re + d_im * d_im).sum(axis=-1) / n,
         gyz=2.0 * (m * jy_density).sum(axis=-1) / n,

@@ -1,13 +1,14 @@
 """Flat-file emission: block formatting, string quoting and row validation."""
 
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
 import bjjsim.output
-from bjjsim.output import BLOCK_ROWS, GridRows, format_float, write_csv, write_table
+from bjjsim.output import BLOCK_ROWS, SCHEMA_VERSION, GridRows, format_float, write_csv, write_table
 
 EDGE = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.8e308, 1.7976931348623157e308, 1 / 3]
 
@@ -41,6 +42,31 @@ def test_json_array_rows_match_list_rows(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+JSON_TABLES = {
+    "numeric": np.vstack((np.array(EDGE).reshape(3, 3),
+                          np.random.default_rng(3).standard_normal((BLOCK_ROWS + 7, 3)))),
+    # a sweep-like table: a nan, ints, and a string error row between ok rows
+    "mixed": [[0.5, math.nan, "ok"], [np.float64(-0.0), 3, 'error: "lam", 1\nsecond line'],
+              [math.inf, -math.inf, "ok"]] * 3,
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 2])
+@pytest.mark.parametrize("table", sorted(JSON_TABLES))
+def test_json_blocks_give_the_bytes_of_one_dump(tmp_path, monkeypatch, block_rows, table):
+    # rows are written a block at a time; the file is json.dump of the whole payload
+    monkeypatch.setattr(bjjsim.output, "BLOCK_ROWS", block_rows)
+    rows = JSON_TABLES[table]
+    path = write_table(tmp_path / "t.json", "json", "t", ["a", "b", "c"], rows)
+    payload = {"schema": f"t-v{SCHEMA_VERSION}", "columns": ["a", "b", "c"],
+               "rows": [[c if isinstance(c, str) else float(c) for c in row] for row in rows]}
+    with open(tmp_path / "want.json", "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
 def test_string_fields_quoted_minimally(tmp_path):
     text = 'error: CovarianceYZ(gzz=1.0, gyy=2.0) is "not" valid\nsecond line'
     rows = [[0.5, "ok"], [-0.0, text], [math.nan, "plain"]]
@@ -52,10 +78,11 @@ def test_string_fields_quoted_minimally(tmp_path):
 
 
 def test_json_dump_failure_leaves_no_file(tmp_path, monkeypatch):
+    # the rows fail after the head of the object is written
     def fail(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(bjjsim.output.json, "dump", fail)
+    monkeypatch.setattr(bjjsim.output, "_json_rows", fail)
     with pytest.raises(OSError, match="disk full"):
         write_table(tmp_path / "d.json", "json", "t", ["a"], [[1.0]])
     assert list(tmp_path.iterdir()) == []

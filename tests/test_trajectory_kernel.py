@@ -15,7 +15,9 @@ bound set from the measured gap.  The parity blocks (parity_spectrum)
 are checked as a spectrum of H on their own, the kernel in the parity
 sectors against the kernel on band_spectrum, with its eigensolves
 counted, its states against evolve, and at N = 1000 the kernel against
-scipy's expm_multiply.
+scipy's expm_multiply.  The moments of one parity block, reduced in its
+own coordinates, are checked against the Dicke reduction of the mirrored
+state, and the kernel's row slices against the default ones, bit for bit.
 """
 
 import csv
@@ -262,6 +264,35 @@ def test_chunks_match_one_block(monkeypatch, per_chunk):
     assert_records_close(trajectory(params, psi0, times), whole, 1e-13)
 
 
+@pytest.mark.parametrize("phi", [math.pi, 0.0])
+def test_row_slices_move_no_bits(monkeypatch, phi):
+    # one row per slice gives the records of the default slices bit for bit:
+    # a trajectory, the search's 600-time grid and the fit's samples on the full solve
+    n = 200
+    params, psi0 = ModelParams.coupled(n, 2.0), coherent_state(n, math.pi / 2, phi)
+    grid = np.linspace(0.0, 3.0, 601)[1:]
+
+    def run():
+        return (trajectory(params, psi0, np.linspace(0.0, 6.0, 40)),
+                _witness_kernel(params, psi0)(grid),
+                _witness_kernel(band_spectrum(params), psi0)(fit_times(n, params.chi)))
+
+    default = run()
+    monkeypatch.setattr(exact_dynamics, "SLICE_DOUBLES", 1)
+    reduce, rows = exact_dynamics.band_moments, []
+
+    def counted(*args):
+        rows.append(len(args[1]))
+        return reduce(*args)
+
+    monkeypatch.setattr(exact_dynamics, "band_moments", counted)
+    sliced = run()
+    assert rows == [1] * (40 + 600 + len(fit_times(n, params.chi)))
+    for got, want in zip(sliced, default):
+        for a, b in zip(fields(got), fields(want)):
+            assert np.array_equal(a, b)
+
+
 @PROPERTY
 @given(n=even_n, lam=st.one_of(st.just(0.0), st.floats(0.05, 5.0)))
 def test_band_spectrum_is_bitwise_dense_spectrum(n, lam):
@@ -449,6 +480,20 @@ def test_trajectory_commands_solve_the_even_block_once(monkeypatch, tmp_path, st
     assert sizes == [n // 2 + 1] * 2
 
 
+@pytest.mark.parametrize("state", ["pi", "zero"])
+def test_sweep_solve_sizes(monkeypatch, tmp_path, state):
+    # the OAT reference fit on the full solve, then per row the fit on the
+    # full solve and the minimum search on the even block
+    n = 40
+    sizes = count_eigensolves(monkeypatch)
+    run_sweep(SweepConfig(lambda_grid=(0.5, 2.0), base=RunConfig(
+        params=ModelParams.coupled(n, 2.0), initial_state=state, out_dir=tmp_path)))
+    assert sizes == [n + 1] + [n + 1, n // 2 + 1] * 2
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        fh.readline()
+        assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "ok"]
+
+
 @pytest.mark.parametrize("phi", [math.pi, 0.0])
 def test_equatorial_odd_part_is_far_below_the_bound(phi):
     # roundoff leaves an odd part in the even coherent states; at the largest
@@ -517,6 +562,35 @@ def test_band_moments_match_dense_operators(n, seed):
     }
     for name, value in want.items():
         assert getattr(mom, name) == pytest.approx(value, rel=1e-12, abs=1e-12), name
+
+
+@PROPERTY
+@given(n=even_n, parity=st.sampled_from((1, -1)), seed=st.integers(0, 2**32 - 1))
+@example(n=2, parity=1, seed=0)
+@example(n=2, parity=-1, seed=0)
+def test_block_moments_match_mirrored_dicke_moments(n, parity, seed):
+    # a random state of one block, reduced in its block coordinates and,
+    # mirrored into the Dicke basis, by the Dicke reduction
+    rng = np.random.default_rng(seed)
+    j = n // 2
+    size = j + 1 if parity == 1 else j
+    coords = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
+    coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+    amp = _from_parity(coords) if parity == 1 else _from_parity(np.zeros((3, j + 1)), coords)
+    got = band_moments(n, coords.real, coords.imag, parity)
+    want = band_moments(n, amp.real, amp.imag)
+    assert np.array_equal(got.jy, np.zeros(3)) and np.array_equal(got.jz, np.zeros(3))
+    for name in ("norm", "jx", "gzz", "gyy", "gyz"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.all(np.abs(g - w) <= 1e-13 * np.maximum(1.0, np.abs(w))), name
+    # one state as a 1-D row
+    single = band_moments(n, coords[0].real, coords[0].imag, parity)
+    assert all(np.array_equal(a, b[0]) for a, b in zip(single, got))
+
+
+def test_band_moments_rejects_an_unknown_parity():
+    with pytest.raises(ValueError, match="parity must be"):
+        band_moments(4, np.ones(3), np.zeros(3), 0)
 
 
 @pytest.mark.parametrize("theta, phi", [(1.0, math.pi), (math.pi / 2, 0.4), (2.5, -1.0)])
