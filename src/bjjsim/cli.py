@@ -58,9 +58,13 @@ WIGNER_MAX_N = 500
 #: Most time steps accepted by `evolve` and `oat-compare`.  Every column is
 #: an array of n_steps doubles, and both writers convert and write the rows
 #: a block at a time: `evolve --compare analytic,oat` peaks at about
-#: 0.4 kB per step in CSV and in JSON (156 MB RSS at 200 000 steps for
-#: N = 60, 158 MB in JSON for N = 1000), half the peak of the largest fit
-#: and sweep at MAX_N.
+#: 0.4 kB per step in CSV and in JSON (156 MB RSS in CSV and 159 to
+#: 164 MB in JSON at 200 000 steps for N = 60, 160 to 165 MB in JSON for
+#: N = 1000), half the peak of the largest fit and sweep at MAX_N.  The
+#: CSV peak is 5 MB above the 151 MB it had before the kernel's row
+#: slices (`exact_dynamics.SLICE_DOUBLES`): their temporaries come from
+#: the heap, which keeps freed pages; that is accepted for the slices'
+#: speed on short grids.
 MAX_STEPS = 200_000
 
 EVOLVE_COLUMNS = (

@@ -44,7 +44,10 @@ PROPAGATION_DOUBLES = 2**20
 #: stages, 256 KiB: the phases, their combination with c and the moment
 #: reduction run a slice at a time, so that a slice and its temporaries
 #: stay in cache.  Each stage works row by row, so the slicing moves no
-#: bits.
+#: bits.  Temporaries this small come from the heap, which keeps the
+#: pages they free: an N = 60 `evolve` at MAX_STEPS peaks about 5 MB
+#: (3%) higher than with 2**17, a trade taken for N = 200 sweep jobs
+#: about 7% faster.
 SLICE_DOUBLES = 2**15
 
 #: Norm at or below which psi0's part in a parity block counts as empty,

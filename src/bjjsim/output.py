@@ -164,17 +164,8 @@ def write_csv(path: Path, schema_name: str, columns, rows) -> Path:
     return path
 
 
-def _json_rows(block: list, ncol: int) -> str:
-    """The rows of a block as json.dump(..., indent=1) writes them two levels deep.
-
-    Numeric blocks go through one '%r' template (float repr is JSON's
-    number text), with JSON's NaN and Infinity spelled after; blocks
-    holding a string go through json.dumps, indented one level further.
-    """
-    if not any(isinstance(c, str) for row in block for c in row):
-        row = "  [\n" + ",\n".join(["   %r"] * ncol) + "\n  ]"
-        text = ",\n".join([row] * len(block)) % tuple(chain.from_iterable(block))
-        return text.replace("nan", "NaN").replace("inf", "Infinity")
+def _json_rows(block: list) -> str:
+    """The rows of a block as json.dump(..., indent=1) writes them two levels deep."""
     return " " + json.dumps(block, indent=1)[2:-2].replace("\n", "\n ")
 
 
@@ -200,7 +191,7 @@ def write_json(path: Path, schema_name: str, columns, rows) -> Path:
             for row in block:
                 _check_width(len(row), ncol, schema_name)
             block = [[c if isinstance(c, str) else float(c) for c in row] for row in block]
-            fh.write(("\n" if empty else ",\n") + _json_rows(block, ncol))
+            fh.write(("\n" if empty else ",\n") + _json_rows(block))
             empty = False
         fh.write(("]" if empty else "\n ]") + tail + "\n")
     return path
