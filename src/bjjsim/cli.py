@@ -223,7 +223,7 @@ def run_evolve(cfg: RunConfig) -> list[Path]:
 def _fit_in_omega_time(params: ModelParams, psi0: StateVector):
     """Protocol fit of the exact trajectory, reported in powers of omega*t."""
     n, chi = params.n_particles, params.chi
-    # one kernel call on the full solve; see band_spectrum for why not parity_spectrum
+    # one kernel call on the full solve; see band_spectrum for why not the even block
     fit = fit_taylor_coeffs(_witness_kernel(band_spectrum(params), psi0)(fit_times(n, chi)), n, chi)
     return fit, fit.coeffs.in_omega_time(params.lam) if params.omega > 0 else None
 
@@ -246,7 +246,7 @@ def _sweep_row(args) -> list:
             t_hi = (1.5 if regime == "unstable_pi" else 1.5 * n ** (1.0 / 3.0)) / rate
         t_min, z_min = minimize_zeta2(zeta2_of_time(params, psi0), t_hi, tol=1e-4 / rate)
         # no closed-form minimum on the unstable branch or between the branches
-        z_ana = zeta2_min(regime, lam) if oscillates else math.nan
+        z_ana = zeta2_min(regime, lam, n) if oscillates else math.nan
 
         series = taylor_zeta2(state, lam)
         ana = series.in_omega_time(lam)
@@ -298,7 +298,7 @@ def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = No
     if n > WIGNER_MAX_N:
         raise ConfigError(f"N = {n} exceeds the Wigner limit N <= {WIGNER_MAX_N}")
 
-    # every snapshot from one kernel call, in the parity sectors psi0 occupies,
+    # every snapshot from one kernel call, in the sector psi0 occupies,
     # and the multipoles of all of them from one pass over the tensor blocks
     blocks = _witness_kernel(p, initial_state_vector(cfg)).states(np.array(snapshot_times))
     _, re, im = (np.concatenate(part) for part in zip(*blocks))

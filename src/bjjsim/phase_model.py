@@ -197,9 +197,11 @@ def _cov_pi(omega_t, lam: float, n_particles: int) -> tuple[CovarianceYZ, float]
 
 
 def _check_regime(name: str, state: str, lam: float, n_particles: int) -> None:
-    """Raise ValueError unless regime(state, lam, N) is `name`."""
+    """Raise ValueError, naming the regime's domain, unless regime(state, lam, N) is `name`."""
     if regime(state, lam, n_particles) != name:
-        raise ValueError(f"lam = {lam} at N = {n_particles} is outside the {name} regime")
+        domain = {"zero": "lam > 0", "stable_pi": "0 < lam < N/(N+1)",
+                  "unstable_pi": f"lam > 1 + {CRITICAL_MARGIN}"}[name]
+        raise ValueError(f"lam = {lam} at N = {n_particles} is outside the {name} regime ({domain})")
 
 
 def cov_stable_pi(omega_t: float, lam: float, n_particles: int) -> tuple[CovarianceYZ, float]:

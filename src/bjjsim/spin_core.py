@@ -3,7 +3,7 @@
 Everything here lives in the Dicke basis of N two-mode bosons: the
 (N+1)-dimensional joint eigenbasis of J^2 and Jz, with amplitudes stored
 in ascending order of the population imbalance m = -N/2 ... +N/2.  Only
-band_moments also reads the coordinates of one block of the mode
+band_moments also reads the coordinates of the even block of the mode
 exchange m -> -m.
 """
 
@@ -139,11 +139,10 @@ class StateVector:
 
 @dataclass(frozen=True)
 class CollectiveOperator:
-    """Hermitian operator on the Dicke basis, with a tridiagonal-structure flag."""
+    """Hermitian operator on the Dicke basis."""
 
     n_particles: int
     matrix: np.ndarray
-    is_tridiagonal: bool = False
 
     def __post_init__(self):
         n = _validate_even_n(self.n_particles)
@@ -153,18 +152,17 @@ class CollectiveOperator:
         dev = np.abs(mat - mat.conj().T).max()
         if dev > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e}")
-        if self.is_tridiagonal:
-            off = mat.copy()
-            for k in (-1, 0, 1):
-                np.fill_diagonal(off[max(0, -k):, max(0, k):], 0.0)
-            if np.any(off != 0):
-                raise ValueError("is_tridiagonal set but entries exist outside the three central diagonals")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
         return self.n_particles + 1
+
+    @property
+    def is_tridiagonal(self) -> bool:
+        """Whether every entry outside the three central diagonals is zero."""
+        return not (np.any(np.triu(self.matrix, 2)) or np.any(np.tril(self.matrix, -2)))
 
 
 @dataclass(frozen=True)
@@ -205,11 +203,7 @@ def build_spin_operators(n_particles: int) -> tuple[CollectiveOperator, Collecti
 
     jz = np.diag(m_values(n).astype(complex))
 
-    return (
-        CollectiveOperator(n, jx, is_tridiagonal=True),
-        CollectiveOperator(n, jy, is_tridiagonal=True),
-        CollectiveOperator(n, jz, is_tridiagonal=True),
-    )
+    return CollectiveOperator(n, jx), CollectiveOperator(n, jy), CollectiveOperator(n, jz)
 
 
 def coherent_state(n_particles: int, theta: float, phi: float) -> StateVector:
@@ -281,55 +275,48 @@ class BandMoments(NamedTuple):
     gyz: np.ndarray
 
 
-def band_moments(n_particles: int, re: np.ndarray, im: np.ndarray, parity: int | None = None) -> BandMoments:
+def band_moments(n_particles: int, re: np.ndarray, im: np.ndarray, even: bool = False) -> BandMoments:
     """Norm, <Jx>, <Jy>, <Jz> and 2<{Ji, Jj}>/N in the y-z plane of each state.
 
     The states are the rows re + i*im (a single state may be 1-D), in the
-    Dicke basis (parity None, N+1 amplitudes) or in the coordinates of one
-    block of the mode exchange m -> -m (parity +1, the N/2+1 even
-    coordinates, or -1, the N/2 odd ones; see exact_dynamics._parity_coords).
-    Jz is the diagonal m and Jx, Jy couple neighbouring m through the
-    ladder factors, so every moment is O(N) band arithmetic per state, with
-    no operator matrix.  The values are those of covariance_yz and
-    expectation up to summation order; no first-moment check is applied here.
+    Dicke basis (N+1 amplitudes) or, with even set, in the N/2+1
+    coordinates of the even block of the mode exchange m -> -m (see
+    exact_dynamics._parity_coords).  Jz is the diagonal m and Jx, Jy couple
+    neighbouring m through the ladder factors, so every moment is O(N)
+    band arithmetic per state, with no operator matrix.  The values are
+    those of covariance_yz and expectation up to summation order; no
+    first-moment check is applied here.
 
-    A state of one block is its mirror image up to sign, so its moments
-    are sums over m >= 0 in block coordinates c_i, i = |m| = 0 ... N/2:
-    weights i, and the even block's ladder factors f_{N/2+i} with the
-    first scaled by sqrt(2) (the bands of exact_dynamics.parity_spectrum);
-    the odd coordinates take a zero at i = 0.  2i Jy maps the block onto
-    the other one, whose i = 0 coordinate the even block's stencil drops
-    (it is odd) and the odd block's keeps.  <Jy> and <Jz> are exactly 0,
-    since Jy and Jz map each block onto the other.
+    An even state is its own mirror image, so its moments are sums over
+    m >= 0 in block coordinates c_i, i = |m| = 0 ... N/2: weights i, and
+    the ladder factors f_{N/2+i} with the first scaled by sqrt(2) (the
+    bands of exact_dynamics.even_spectrum).  2i Jy maps the even block onto
+    the odd one, which has no i = 0 coordinate, so the stencil drops it.
+    <Jy> and <Jz> are exactly 0, since Jy and Jz are odd under m -> -m.
     """
     n = _validate_even_n(n_particles)
-    if parity is None:
-        m, f = m_values(n), raising_coefficients(n)
-    elif parity in (1, -1):
+    if even:
         j = n // 2
         m, f = np.arange(j + 1.0), raising_coefficients(n)[j:]
         f[0] *= np.sqrt(2.0)
-        if parity == -1:
-            pad = np.zeros(np.shape(re)[:-1] + (1,))
-            re, im = np.concatenate((pad, re), axis=-1), np.concatenate((pad, im), axis=-1)
     else:
-        raise ValueError(f"parity must be +1, -1 or None, got {parity}")
+        m, f = m_values(n), raising_coefficients(n)
     prob = re * re + im * im
     # 2i Jy psi = (J+ - J-) psi, with (J+ psi)_{k+1} = f_k psi_k and (J- psi)_k = f_k psi_{k+1}
     d_re, d_im = np.zeros_like(re), np.zeros_like(im)
     d_re[..., 1:] = f * re[..., :-1]
     d_im[..., 1:] = f * im[..., :-1]
-    if parity == 1:
+    if even:
         d_re[..., 1:-1] -= f[1:] * re[..., 2:]
         d_im[..., 1:-1] -= f[1:] * im[..., 2:]
     else:
         d_re[..., :-1] -= f * re[..., 1:]
         d_im[..., :-1] -= f * im[..., 1:]
     jy_density = re * d_im - im * d_re  # 2 Re(conj(psi) * Jy psi), element by element
-    if parity is None:
-        jy, jz = 0.5 * jy_density.sum(axis=-1), (m * prob).sum(axis=-1)
-    else:
+    if even:
         jy, jz = np.zeros(prob.shape[:-1]), np.zeros(prob.shape[:-1])
+    else:
+        jy, jz = 0.5 * jy_density.sum(axis=-1), (m * prob).sum(axis=-1)
     return BandMoments(
         norm=np.sqrt(prob.sum(axis=-1)),
         # <Jx> = sum_k f_k Re(conj(psi_k) psi_{k+1})

@@ -176,8 +176,8 @@ def _sphere_grid(rho: np.ndarray, re: np.ndarray, im: np.ndarray) -> SphereGrid:
     equator is row n_theta // 2).  The exchange m -> -m reflects the sphere,
     (theta, phi) -> (pi - theta, -phi), and on this phi grid -phi_j is
     phi at index -j mod n_phi.  So a state whose amplitudes are an exact
-    palindrome, c_m == c_{-m} (every snapshot the kernel's _from_parity
-    builds from an even sector), takes row n_theta-1-i as row i read at
+    palindrome, c_m == c_{-m} (every snapshot the kernel's _from_even
+    mirrors from the even block), takes row n_theta-1-i as row i read at
     index -j mod n_phi.  Any other state takes its southern rows from the
     same Legendre table with multipoles (-1)^(k+q) rho_kq, since
     Y_kq(pi - theta, 0) = (-1)^(k+q) Y_kq(theta, 0).

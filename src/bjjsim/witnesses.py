@@ -134,21 +134,19 @@ def ratio_R(lam: float) -> float:
     return taylor_zeta2("pi", lam).p3 / taylor_zeta2("oat").p3
 
 
-def zeta2_min(regime: str, lam: float) -> float:
+def zeta2_min(regime: str, lam: float, n_particles: int) -> float:
     """Depth of the periodic witness minima in the two stable regimes.
 
     min(1 - s, 1/(1 - s)) at the signed coupling s of phase_model: 1 - lam
-    around pi ("stable_pi"), 1/(1 + lam) around zero ("zero").
+    around pi ("stable_pi"), 1/(1 + lam) around zero ("zero").  Defined
+    where phase_model.regime answers `regime` for (lam, N), as for the
+    cov_* of that name.
     """
-    if regime == "stable_pi":
-        if not 0.0 < lam < 1.0:
-            raise ValueError(f"stable_pi requires 0 < lam < 1, got {lam}")
-    elif regime == "zero":
-        if not lam > 0.0:
-            raise ValueError(f"zero regime requires lam > 0, got {lam}")
-    else:
+    if regime not in ("stable_pi", "zero"):
         raise ValueError(f"unknown regime {regime!r}")
-    s = phase_model._signed_coupling(regime.removeprefix("stable_"), lam)
+    state = regime.removeprefix("stable_")
+    phase_model._check_regime(regime, state, lam, n_particles)
+    s = phase_model._signed_coupling(state, lam)
     return min(1.0 - s, 1.0 / (1.0 - s))
 
 

@@ -79,7 +79,7 @@ def test_criterion_1_stable_pi_minima():
     tol = 5.0 / N
     devs = {}
     for lam in [0.2, 0.4, 0.6, 0.8, 0.95]:
-        devs[lam] = abs(find_min(lam, "pi") - zeta2_min("stable_pi", lam))
+        devs[lam] = abs(find_min(lam, "pi") - zeta2_min("stable_pi", lam, N))
     ok_grid = all(devs[lam] <= tol for lam in [0.2, 0.4, 0.6, 0.8])
     ok_fail = devs[0.95] > tol
     detail = (
@@ -94,7 +94,7 @@ def test_criterion_2_zero_minima():
     tol = 5.0 / N
     rels = {}
     for lam in [0.5, 1.0, 2.0, float(N)]:
-        target = zeta2_min("zero", lam)
+        target = zeta2_min("zero", lam, N)
         rels[lam] = abs(find_min(lam, "zero") - target) / target
     ok_grid = all(rels[lam] <= tol for lam in [0.5, 1.0, 2.0])
     ok_fail = rels[float(N)] > tol

@@ -82,10 +82,18 @@ class TestSpinOperators:
             CollectiveOperator(2, mat)
 
     def test_tridiagonal_flag_checked(self):
+        # the flag is read from the matrix and cannot be set
         mat = np.eye(5, dtype=complex)
         mat[0, 4] = mat[4, 0] = 0.5
-        with pytest.raises(ValueError, match="tridiagonal"):
-            CollectiveOperator(4, mat, is_tridiagonal=True)
+        op = CollectiveOperator(4, mat)
+        assert not op.is_tridiagonal
+        assert all(o.is_tridiagonal for o in build_spin_operators(4))
+        with pytest.raises(AttributeError):
+            op.is_tridiagonal = True
+        with pytest.raises(TypeError):
+            CollectiveOperator(4, np.eye(5), is_tridiagonal=True)
+        with pytest.raises(ValueError, match="real symmetric tridiagonal"):
+            eigendecompose(op)
 
 
 class TestCoherentState:

@@ -11,13 +11,15 @@ propagate with different eigensolves, so records agree to a tolerance
 fixed from the dtype, 1e-12 relative with a floor of 1 (natural units:
 hbar, shot noise), plus the phase error the two solves' backward errors
 accumulate over t (propagation_rtol); fitted coefficients agree to a
-bound set from the measured gap.  The parity blocks (parity_spectrum)
-are checked as a spectrum of H on their own, the kernel in the parity
-sectors against the kernel on band_spectrum, with its eigensolves
-counted, its states against evolve, and at N = 1000 the kernel against
-scipy's expm_multiply.  The moments of one parity block, reduced in its
-own coordinates, are checked against the Dicke reduction of the mirrored
-state, and the kernel's row slices against the default ones, bit for bit.
+bound set from the measured gap.  The even block (even_spectrum) is
+checked as a spectrum of H on its own, the kernel in the even block
+against the kernel on band_spectrum, with its eigensolves counted, its
+states against evolve, and at N = 1000 the kernel against scipy's
+expm_multiply; a state with an odd part, which the kernel propagates in
+the whole Dicke basis, against the dense reference.  The moments of the
+even block, reduced in its own coordinates, are checked against the
+Dicke reduction of the mirrored state, and the kernel's row slices
+against the default ones, bit for bit.
 """
 
 import csv
@@ -46,15 +48,15 @@ from bjjsim.cli import (
     run_wigner,
 )
 from bjjsim.exact_dynamics import (
-    _from_parity,
+    _from_even,
     _parity_coords,
     _witness_kernel,
     band_spectrum,
     eigendecompose,
+    even_spectrum,
     evolve,
     hamiltonian,
     hamiltonian_bands,
-    parity_spectrum,
     trajectory,
     zeta2_of_time,
 )
@@ -119,10 +121,9 @@ def band_residual(params, w, v):
     return np.linalg.norm(hv - v * w, 2)
 
 
-def parity_vectors(even, odd):
-    """The two blocks' eigenvectors mirrored into the Dicke basis, one column each."""
-    return np.vstack((_from_parity(even.eigenvectors.T, np.zeros((even.dim, odd.dim))),
-                      _from_parity(np.zeros((odd.dim, even.dim)), odd.eigenvectors.T))).T
+def even_vectors(even):
+    """The even block's eigenvectors mirrored into the Dicke basis, one column each."""
+    return _from_even(even.eigenvectors.T).T
 
 
 def propagation_rtol(params, t):
@@ -132,19 +133,17 @@ def propagation_rtol(params, t):
     exactly, with |E| about its residual rho = |H V - V diag(w)|, measured
     here (the two together up to 17 eps |H| on this domain).  Propagating
     with it is the exact propagator of H + E, which moves psi(t) by at most
-    t |E| from exp(-iHt) psi0; so the kernel (parity solve) and the
-    reference (band solve) differ by at most t (rho_parity + rho_band) in
+    t |E| from exp(-iHt) psi0; so the kernel (even solve) and the
+    reference (band solve) differ by at most t (rho_even + rho_band) in
     psi(t), and a moment <A>, quadratic in psi, by 2 |A psi| times that.  The factor 4
-    takes |A psi| up to 2 max(1, |<A>|): over 3,900 points of the domain
-    the largest (gap - 1e-12) / (t rho) measured is 1.55 (N = 108,
-    lam = 2.63, pi state, t = 11.25).  The 1e-12 covers the different
+    takes |A psi| up to 2 max(1, |<A>|): over 7,900 points of the domain
+    the largest (gap - 1e-12) / (t rho) measured is 1.26 (N = 118,
+    lam = 2.94, pi state, t = 10.8).  The 1e-12 covers the different
     summation orders, the whole gap at t = 0.
     """
-    band = band_spectrum(params)
-    even, odd = parity_spectrum(params, 1), parity_spectrum(params, -1)
-    w = np.concatenate((even.eigenvalues, odd.eigenvalues))
+    band, even = band_spectrum(params), even_spectrum(params)
     rho = (band_residual(params, band.eigenvalues, band.eigenvectors)
-           + band_residual(params, w, parity_vectors(even, odd)))
+           + band_residual(params, even.eigenvalues, even_vectors(even)))
     return 1e-12 + 4.0 * np.asarray(t, dtype=float) * rho
 
 
@@ -307,26 +306,25 @@ def test_band_spectrum_is_bitwise_dense_spectrum(n, lam):
 @given(n=even_n, lam=st.one_of(st.just(0.0), st.floats(0.05, 5.0)))
 @example(n=2, lam=0.0)
 @example(n=2, lam=1.5)
-def test_parity_spectrum_is_a_spectrum_of_h(n, lam):
+def test_even_spectrum_is_a_spectrum_of_h(n, lam):
     # the twisting limit (lam = 0) has degenerate +-m levels
     params = ModelParams.twisting(n) if lam == 0.0 else ModelParams.coupled(n, lam)
-    even, odd = parity_spectrum(params, 1), parity_spectrum(params, -1)
-    assert (even.dim, odd.dim) == (n // 2 + 1, n // 2)
-    for block in (even, odd):
-        assert np.all(np.diff(block.eigenvalues) >= 0.0)
-        u = block.eigenvectors
-        assert np.abs(u.T @ u - np.eye(block.dim)).max() <= 1e-13
-    w = np.concatenate((even.eigenvalues, odd.eigenvalues))
+    even = even_spectrum(params)
+    assert even.dim == n // 2 + 1
+    assert np.all(np.diff(even.eigenvalues) >= 0.0)
+    u = even.eigenvectors
+    assert np.abs(u.T @ u - np.eye(even.dim)).max() <= 1e-13
+    # |H| is the largest |eigenvalue| of the full spectrum
     full = band_spectrum(params).eigenvalues
-    assert np.abs(np.sort(w) - full).max() <= 1e-13 * max(1.0, np.abs(full).max())
-    v = parity_vectors(even, odd)
-    assert np.abs(v.T @ v - np.eye(n + 1)).max() <= 1e-13
-    # |H| is the largest |eigenvalue|
-    assert band_residual(params, w, v) <= 1e-13 * np.abs(w).max()
-    # every column is exactly even or exactly odd under m -> -m
-    even_cols = np.all(v[::-1] == v, axis=0)
-    odd_cols = np.all(v[::-1] == -v, axis=0)
-    assert np.all(even_cols[: even.dim]) and np.all(odd_cols[even.dim :])
+    norm_h = max(1.0, np.abs(full).max())
+    w = even.eigenvalues
+    assert np.abs(w[:, None] - full).min(axis=1).max() <= 1e-13 * norm_h
+    v = even_vectors(even)
+    assert v.shape == (n + 1, even.dim)
+    assert np.abs(v.T @ v - np.eye(even.dim)).max() <= 1e-13
+    assert band_residual(params, w, v) <= 1e-13 * norm_h
+    # every column is exactly even under m -> -m
+    assert np.array_equal(v[::-1], v)
 
 
 def kernel_fields(rec):
@@ -518,12 +516,19 @@ def parity_state(n, even_part, odd_part):
     (0.0, 1.0, "odd"),
 ])
 def test_occupied_sectors_are_solved_and_propagated(monkeypatch, even_part, odd_part, solved):
+    # the even block alone when the odd part is empty, else one solve of the
+    # whole H; either way the records of the dense per-time reference
     n = 60
     params, psi0 = ModelParams.coupled(n, 2.0), parity_state(n, even_part, odd_part)
     sizes = count_eigensolves(monkeypatch)
-    _witness_kernel(params, psi0)
-    assert sizes == {"even": [n // 2 + 1], "odd": [n // 2], "both": [n // 2 + 1, n // 2]}[solved]
-    assert_kernels_close(params, psi0, np.linspace(0.0, 1.0, 11))
+    kernel = _witness_kernel(params, psi0)
+    assert sizes == ([n // 2 + 1] if solved == "even" else [n + 1])
+    times = np.linspace(0.0, 1.0, 11)
+    record = dense_witness_of_time(params, psi0)
+    got, want = kernel(times), stacked([record(float(t)) for t in times])
+    a, b = np.column_stack(kernel_fields(got)), np.column_stack(kernel_fields(want))
+    tol = propagation_rtol(params, times)[:, None]
+    assert np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))), (a, b)
 
 
 def test_trajectory_matches_expm_multiply_at_large_n():
@@ -565,32 +570,25 @@ def test_band_moments_match_dense_operators(n, seed):
 
 
 @PROPERTY
-@given(n=even_n, parity=st.sampled_from((1, -1)), seed=st.integers(0, 2**32 - 1))
-@example(n=2, parity=1, seed=0)
-@example(n=2, parity=-1, seed=0)
-def test_block_moments_match_mirrored_dicke_moments(n, parity, seed):
-    # a random state of one block, reduced in its block coordinates and,
+@given(n=even_n, seed=st.integers(0, 2**32 - 1))
+@example(n=2, seed=0)
+def test_block_moments_match_mirrored_dicke_moments(n, seed):
+    # a random state of the even block, reduced in its block coordinates and,
     # mirrored into the Dicke basis, by the Dicke reduction
     rng = np.random.default_rng(seed)
-    j = n // 2
-    size = j + 1 if parity == 1 else j
+    size = n // 2 + 1
     coords = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
     coords /= np.linalg.norm(coords, axis=1, keepdims=True)
-    amp = _from_parity(coords) if parity == 1 else _from_parity(np.zeros((3, j + 1)), coords)
-    got = band_moments(n, coords.real, coords.imag, parity)
+    amp = _from_even(coords)
+    got = band_moments(n, coords.real, coords.imag, True)
     want = band_moments(n, amp.real, amp.imag)
     assert np.array_equal(got.jy, np.zeros(3)) and np.array_equal(got.jz, np.zeros(3))
     for name in ("norm", "jx", "gzz", "gyy", "gyz"):
         g, w = getattr(got, name), getattr(want, name)
         assert np.all(np.abs(g - w) <= 1e-13 * np.maximum(1.0, np.abs(w))), name
     # one state as a 1-D row
-    single = band_moments(n, coords[0].real, coords[0].imag, parity)
+    single = band_moments(n, coords[0].real, coords[0].imag, True)
     assert all(np.array_equal(a, b[0]) for a, b in zip(single, got))
-
-
-def test_band_moments_rejects_an_unknown_parity():
-    with pytest.raises(ValueError, match="parity must be"):
-        band_moments(4, np.ones(3), np.zeros(3), 0)
 
 
 @pytest.mark.parametrize("theta, phi", [(1.0, math.pi), (math.pi / 2, 0.4), (2.5, -1.0)])

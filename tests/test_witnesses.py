@@ -161,18 +161,23 @@ class TestRatio:
 
 class TestMinimumDepths:
     def test_values(self):
-        assert zeta2_min("stable_pi", 0.5) == pytest.approx(0.5)
-        assert zeta2_min("zero", 1.0) == pytest.approx(0.5)
+        assert zeta2_min("stable_pi", 0.5, 200) == pytest.approx(0.5)
+        assert zeta2_min("zero", 1.0, 200) == pytest.approx(0.5)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            zeta2_min("stable_pi", 1.5)
+            zeta2_min("stable_pi", 1.5, 200)
         # the domain of phase_model.regime, which has no closed form at lam <= 0
         for lam in (0.0, -0.5):
             with pytest.raises(ValueError, match="lam > 0"):
-                zeta2_min("zero", lam)
+                zeta2_min("zero", lam, 200)
         with pytest.raises(ValueError):
-            zeta2_min("spiral", 0.5)
+            zeta2_min("spiral", 0.5, 200)
+        # no stable pi well in the window N/(N+1) <= lam <= 1 + CRITICAL_MARGIN,
+        # where regime("pi", lam, N) is None; at N = 200 the window starts at 0.995
+        with pytest.raises(ValueError, match="outside the stable_pi regime"):
+            zeta2_min("stable_pi", 0.999, 200)
+        assert zeta2_min("stable_pi", 0.999, 2000) == pytest.approx(0.001)
 
 
 def synthetic_records(coeffs, n, chi, xs, start=True):
