@@ -220,12 +220,11 @@ def run_evolve(cfg: RunConfig) -> list[Path]:
     return [write_table(path, cfg.fmt, "bjj-evolve", columns, np.column_stack(values))]
 
 
-def _fit_in_omega_time(params: ModelParams, psi0: StateVector):
-    """Protocol fit of the exact trajectory, reported in powers of omega*t."""
+def _protocol_fit(params: ModelParams, psi0: StateVector):
+    """Protocol fit of the exact trajectory, in powers of N chi t."""
     n, chi = params.n_particles, params.chi
     # one kernel call on the full solve; see band_spectrum for why not the even block
-    fit = fit_taylor_coeffs(_witness_kernel(band_spectrum(params), psi0)(fit_times(n, chi)), n, chi)
-    return fit, fit.coeffs.in_omega_time(params.lam) if params.omega > 0 else None
+    return fit_taylor_coeffs(_witness_kernel(band_spectrum(params), psi0)(fit_times(n, chi)), n, chi)
 
 
 def _sweep_row(args) -> list:
@@ -236,7 +235,8 @@ def _sweep_row(args) -> list:
         psi0 = initial_state_vector(cfg)
 
         # fit first: after the search, its full solve would peak on top of the search's freed blocks
-        fit, fit_omega = _fit_in_omega_time(params, psi0)
+        fit = _protocol_fit(params, psi0)
+        fit_omega = fit.coeffs.in_omega_time(params.lam)
         # the regime of the simulated lam, which can differ from the grid lam in the last bit
         regime, rate = cfg.regime, dimensionless_frequency(cfg)
         oscillates = regime in ("zero", "stable_pi")
@@ -262,13 +262,12 @@ def _sweep_row(args) -> list:
 
 
 def run_sweep(cfg: SweepConfig) -> list[Path]:
-    """Per-interaction summary rows, deterministic order regardless of workers."""
+    """Per-interaction summary rows in grid order, whatever the number of workers."""
     base = cfg.base
     n = base.params.n_particles
     # twisting-only reference coefficient for the third-order ratio
     oat_params = ModelParams.twisting(n, chi=1.0)
-    oat_fit, _ = _fit_in_omega_time(oat_params, coherent_state(n, math.pi / 2.0, 0.0))
-    oat_p3 = oat_fit.coeffs.p3
+    oat_p3 = _protocol_fit(oat_params, coherent_state(n, math.pi / 2.0, 0.0)).coeffs.p3
 
     jobs = [(lam, n, base.initial_state, oat_p3) for lam in cfg.lambda_grid]
     processes = min(base.workers, len(jobs))
@@ -277,7 +276,6 @@ def run_sweep(cfg: SweepConfig) -> list[Path]:
             rows = list(pool.map(_sweep_row, jobs))
     else:
         rows = [_sweep_row(job) for job in jobs]
-    rows.sort(key=lambda r: r[0])
 
     path = base.out_dir / f"sweep.{base.fmt}"
     return [write_table(path, base.fmt, "bjj-sweep", SWEEP_COLUMNS, rows)]
@@ -344,7 +342,7 @@ def run_fit(cfg: RunConfig) -> list[Path]:
     if not lam > 0.0:
         raise ConfigError(f"fit needs lam > 0, got {lam}")
     ana = taylor_zeta2(cfg.initial_state, lam)
-    fit, _ = _fit_in_omega_time(cfg.params, initial_state_vector(cfg))
+    fit = _protocol_fit(cfg.params, initial_state_vector(cfg))
     c = fit.coeffs
     rows = [[lam, c.p1, c.p2, c.p3, c.p4, ana.p1, ana.p2, ana.p3, ana.p4,
              fit.residual_norm, fit.condition_number]]
@@ -357,6 +355,7 @@ def run_fit(cfg: RunConfig) -> list[Path]:
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}  # where each key was given
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -368,8 +367,12 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        values["lam" if key == "lambda" else key] = value.strip()
+        written = key.strip().replace("-", "_")
+        key = "lam" if written == "lambda" else written
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {written!r} repeats the key of line {lines[key]}")
+        lines[key] = lineno
+        values[key] = value.strip()
     return values
 
 

@@ -6,8 +6,9 @@ tridiagonal in the Dicke basis, so the full spectrum costs O(N^2).  It
 also commutes with the mode exchange m -> -m, and the equatorial coherent
 states are even under it, so trajectories, the minimum search and the
 Wigner snapshots of those states propagate in the even block alone
-(even_spectrum): one solve, one propagation and one moment reduction of
-size N/2+1.  A state with an odd part propagates in the whole Dicke basis.
+(band_spectrum(params, even=True), on the bands of spin_core.ladder):
+one solve, one propagation and one moment reduction of size N/2+1.  A
+state with an odd part propagates in the whole Dicke basis.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from .spin_core import (
     CovarianceYZ,
     ModelParams,
     StateVector,
+    _from_even,
+    _parity_coords,
     band_moments,
     check_first_moments,
     check_normalized,
-    m_values,
-    raising_coefficients,
+    ladder,
 )
 from .witnesses import WitnessRecord, make_record
 
@@ -64,8 +66,6 @@ SLICE_DOUBLES = 2**15
 #: coherent_state(1000, pi/2, pi) and 2.6e-13 at N = 4000, 38x below.
 EMPTY_SECTOR_NORM = 1e-3 * FIRST_MOMENT_TOL
 
-_SQRT2 = np.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -74,12 +74,12 @@ class Spectrum:
     Either of the whole H in the Dicke basis (band_spectrum, one solve of
     size N+1: the short-time fit samples, and any state with an odd part)
     or of the even block of H under m -> -m in that block's coordinates
-    (even_spectrum, size N/2+1: trajectory, zeta2_of_time and the Wigner
-    snapshots of the equatorial states); both feed the propagation kernel
-    _witness_kernel, and dim is the size of the matrix solved.  The two
-    routes agree to roundoff, but the fit amplifies that roundoff in p4
-    beyond the tolerance its stored outputs are checked at, so it keeps
-    the full solve.
+    (band_spectrum with even set, size N/2+1: trajectory, zeta2_of_time
+    and the Wigner snapshots of the equatorial states); both feed the
+    propagation kernel _witness_kernel, and dim is the size of the matrix
+    solved.  The two routes agree to roundoff, but the fit amplifies that
+    roundoff in p4 beyond the tolerance its stored outputs are checked at,
+    so it keeps the full solve.
     """
 
     n_particles: int
@@ -101,14 +101,13 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-def hamiltonian_bands(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal chi*m^2 and off-diagonal -omega*f/2 of H in the Dicke basis."""
-    n = params.n_particles
-    m = m_values(n)
-    diag = params.chi * m * m
-    if params.omega == 0.0:
-        return diag, np.zeros(n)
-    return diag, -params.omega * raising_coefficients(n) / 2.0
+def hamiltonian_bands(params: ModelParams, even: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal chi*m^2 and off-diagonal -omega*f/2 of H on the bands (m, f) of spin_core.ladder.
+
+    In the Dicke basis, or with even set in the even block under m -> -m.
+    """
+    m, f = ladder(params.n_particles, even)
+    return params.chi * m * m, -params.omega * f / 2.0
 
 
 def hamiltonian(params: ModelParams) -> CollectiveOperator:
@@ -138,54 +137,28 @@ def eigendecompose(op: CollectiveOperator) -> Spectrum:
     return _spectrum(op.n_particles, mat.diagonal().real.copy(), mat.diagonal(1).real.copy())
 
 
-def band_spectrum(params: ModelParams) -> Spectrum:
-    """Spectrum of H from its bands in one (N+1)-point solve, without the dense matrix.
+def band_spectrum(params: ModelParams, even: bool = False) -> Spectrum:
+    """Spectrum of H from its bands, without the dense matrix.
 
-    Bit for bit equal to eigendecompose(hamiltonian(params)).  The samples
-    of the short-time fit use it (the kernel, fed this spectrum by
-    cli._fit_in_omega_time), and the kernel solves it for a state with an
-    odd part; every other run path propagates in the even block.  Against
-    dense per-time samples, the fitted p4 moves by at most 8.3e-9 relative
-    on this spectrum; the even block would move it by up to 6.1e-8
-    relative at N = 200, 3.5e-8 at N = 1000 and 9.1e-8 at N = 4000, past
-    the 1e-8 at which stored fit outputs are compared.
+    Without even, one (N+1)-point solve, bit for bit equal to
+    eigendecompose(hamiltonian(params)).  The samples of the short-time
+    fit use it (the kernel, fed this spectrum by cli._protocol_fit),
+    and the kernel solves it for a state with an odd part.  Against dense
+    per-time samples, the fitted p4 moves by at most 8.3e-9 relative on
+    this spectrum; the even block would move it by up to 6.1e-8 relative
+    at N = 200, 3.5e-8 at N = 1000 and 9.1e-8 at N = 4000, past the 1e-8
+    at which stored fit outputs are compared.
+
+    With even set, the block of H that is even under the mode exchange
+    m -> -m, which every other run path propagates in.  H commutes with
+    m -> -m, so in the basis |0>, (|m> + |-m>)/sqrt(2), m = 1 ... N/2,
+    its even part is a tridiagonal block of size N/2+1 (spin_core.ladder).
+    The spectrum is in the block's own coordinates
+    (spin_core._parity_coords); spin_core._from_even maps its columns back
+    to the Dicke basis, each exactly even in m.  Its eigenvalues are those
+    of the whole H with even eigenvectors, to roundoff.
     """
-    return _spectrum(params.n_particles, *hamiltonian_bands(params))
-
-
-def even_spectrum(params: ModelParams) -> Spectrum:
-    """Spectrum of the block of H that is even under the mode exchange m -> -m.
-
-    H commutes with m -> -m, so in the basis |0>, (|m> + |-m>)/sqrt(2),
-    m = 1 ... N/2, its even part is a tridiagonal block of size N/2+1 (its
-    first off-diagonal entry scaled by sqrt(2)).  The spectrum is in the
-    block's own coordinates (_parity_coords); _from_even maps its columns
-    back to the Dicke basis, each exactly even in m.  Its eigenvalues are
-    those of band_spectrum's with even eigenvectors, to roundoff.
-    """
-    j = params.n_particles // 2
-    diag, off = hamiltonian_bands(params)
-    even_off = off[j:].copy()
-    even_off[0] *= _SQRT2
-    return _spectrum(params.n_particles, diag[j:], even_off)
-
-
-def _parity_coords(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd block coordinates of Dicke amplitudes (along the last axis).
-
-    With j = N/2 and i = 1 ... j: even = (psi_j, (psi_{j+i} + psi_{j-i})/sqrt(2)),
-    odd = (psi_{j+i} - psi_{j-i})/sqrt(2); the first is the basis of even_spectrum.
-    """
-    j = amp.shape[-1] // 2
-    up, down = amp[..., j + 1 :], amp[..., j - 1 :: -1]
-    even = np.concatenate((amp[..., j : j + 1], (up + down) / _SQRT2), axis=-1)
-    return even, (up - down) / _SQRT2
-
-
-def _from_even(even: np.ndarray) -> np.ndarray:
-    """Dicke amplitudes (along the last axis), bitwise even in m, from even block coordinates."""
-    up = even[..., 1:] / _SQRT2
-    return np.concatenate((up[..., ::-1], even[..., :1], up), axis=-1)
+    return _spectrum(params.n_particles, *hamiltonian_bands(params, even))
 
 
 def _sector(params: ModelParams, psi0: StateVector):
@@ -195,12 +168,10 @@ def _sector(params: ModelParams, psi0: StateVector):
     EMPTY_SECTOR_NORM, with psi0 in that block's coordinates; otherwise
     the whole Dicke basis (band_spectrum) and psi0's own amplitudes.
     """
-    even, odd = _parity_coords(psi0.amplitudes)
-    if np.linalg.norm(odd) <= EMPTY_SECTOR_NORM:
-        spec = even_spectrum(params)
-        return True, spec.eigenvalues, spec.eigenvectors, even
-    spec = band_spectrum(params)
-    return False, spec.eigenvalues, spec.eigenvectors, psi0.amplitudes
+    coords, odd = _parity_coords(psi0.amplitudes)
+    even = bool(np.linalg.norm(odd) <= EMPTY_SECTOR_NORM)
+    spec = band_spectrum(params, even)
+    return even, spec.eigenvalues, spec.eigenvectors, coords if even else psi0.amplitudes
 
 
 def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
@@ -217,7 +188,7 @@ def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
 
     The one propagator.  It works in one sector: a spectrum, and psi0's
     coordinates in its basis.  Given a Spectrum of the whole H
-    (band_spectrum; only the short-time fit, cli._fit_in_omega_time), the
+    (band_spectrum; only the short-time fit, cli._protocol_fit), the
     sector is the Dicke basis itself.  Given the ModelParams (trajectory;
     zeta2_of_time, which sends the minimum search's whole grid in one call
     and its refinement one time per call; the Wigner snapshots of
@@ -230,8 +201,8 @@ def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
     two real matrix products U Re(e^{-iwt} c) and U Im(e^{-iwt} c).
     records.states(times) yields those blocks, (times, Re psi, Im psi)
     with one state per row, in the Dicke basis (the even block mirrored
-    back by _from_even).  records(times) reduces them to moments by O(N)
-    band arithmetic per time in the sector's own coordinates
+    back by spin_core._from_even).  records(times) reduces them to moments
+    by O(N) band arithmetic per time in the sector's own coordinates
     (spin_core.band_moments), so the even block is never mirrored.  Then,
     over all times at once, it runs the norm check, the first-moment check
     and one make_record call; each check fails with the dense reference's

@@ -1,10 +1,16 @@
 """Closed-form one-axis-twisting benchmark (omega = 0).
 
 For a coherent state on the equator evolving under chi*Jz^2 alone, the mean
-spin and the y-z covariance eigenvalues have exact closed forms.  They agree
-with exact diagonalization to machine precision at any N, which the test
-suite enforces; the powers cos^(N-2) are evaluated in log space with sign
-tracking so large N stays accurate near the zeros of the cosine.
+spin and the y-z covariance eigenvalues have exact closed forms.  Against
+the exact propagation kernel at omega = 0, over the fit window
+(N chi t <= 0.2), the covariance eigenvalues, xi^2 and zeta^2 differ by at
+most 5.5e-13 relative (floor 1) at N = 200, 1.4e-11 at N = 1000 and
+2.1e-10 at N = 4000, and gyy by about twice that: the gap grows like N^2,
+and the test suite holds it to 1e-9 at N = 1000 and 4000.  The powers
+cos^p are plain floating-point powers; against 40-digit references for
+p < 4000, near the cosine's zero and at small angles, they are as
+accurate as a log-space form (2.2e-13 relative, both) and vanish at the
+same places.
 """
 
 from __future__ import annotations
@@ -15,28 +21,17 @@ from .spin_core import CovarianceYZ
 from .witnesses import WitnessRecord, make_record
 
 
-def _signed_cos_pow(x, p: int):
-    """cos(x)^p for integer p >= 0 via exp(p*log|cos|) with sign tracking."""
-    c = np.cos(x)
-    mag = np.abs(c)
-    with np.errstate(divide="ignore"):
-        out = np.exp(p * np.log(mag))
-    out = np.where(mag == 0.0, 0.0, out)
-    sign = np.where(c < 0.0, (-1.0) ** (p % 2), 1.0)
-    return out * sign
-
-
 def oat_jx(n_particles: int, chi: float, t):
     """<Jx> = (N/2) cos^(N-1)(chi t) for the equatorial state along +x."""
     if n_particles < 2:
         raise ValueError("need at least two particles")
-    return n_particles / 2.0 * _signed_cos_pow(chi * np.asarray(t, dtype=float), n_particles - 1)
+    return n_particles / 2.0 * np.cos(chi * np.asarray(t, dtype=float)) ** (n_particles - 1)
 
 
 def _ab(n_particles: int, chi: float, t):
     t = np.asarray(t, dtype=float)
-    a = 1.0 - _signed_cos_pow(2.0 * chi * t, n_particles - 2)
-    b = 4.0 * np.sin(chi * t) * _signed_cos_pow(chi * t, n_particles - 2)
+    a = 1.0 - np.cos(2.0 * chi * t) ** (n_particles - 2)
+    b = 4.0 * np.sin(chi * t) * np.cos(chi * t) ** (n_particles - 2)
     return a, b
 
 

@@ -2,9 +2,12 @@
 
 Everything here lives in the Dicke basis of N two-mode bosons: the
 (N+1)-dimensional joint eigenbasis of J^2 and Jz, with amplitudes stored
-in ascending order of the population imbalance m = -N/2 ... +N/2.  Only
-band_moments also reads the coordinates of the even block of the mode
-exchange m -> -m.
+in ascending order of the population imbalance m = -N/2 ... +N/2, or in
+the even block of the mode exchange m -> -m, which both equatorial
+coherent states occupy.  Both bases are defined here once: ladder gives
+the Jz diagonal and the ladder factors of either, _parity_coords and
+_from_even map amplitudes between them, and band_moments reduces the
+moments of states in either from those bands.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ NORM_TOL = 1e-12
 # First moments in the y-z plane must vanish (relative to N) for the
 # covariance normalization used here; see covariance_yz.
 FIRST_MOMENT_TOL = 1e-8
+
+_SQRT2 = np.sqrt(2.0)
 
 
 def _validate_even_n(n_particles) -> int:
@@ -43,6 +48,42 @@ def raising_coefficients(n_particles: int) -> np.ndarray:
     j = n_particles / 2.0
     m = np.arange(-j, j)
     return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
+
+
+def ladder(n_particles: int, even: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Jz diagonal m and ladder factors f of the Dicke basis, or of its even block.
+
+    The Dicke basis: m_values and raising_coefficients.  With even set, the
+    block of the mode exchange m -> -m spanned by |0> and
+    (|i> + |-i>)/sqrt(2), i = 1 ... N/2 (the coordinates of
+    _parity_coords): the diagonal i = 0 ... N/2 and the factors f_{N/2+i},
+    the first scaled by sqrt(2), since |0> couples to both |1> and |-1>.
+    Every tridiagonal operator of either basis is built from these bands.
+    """
+    n = _validate_even_n(n_particles)
+    m, f = m_values(n), raising_coefficients(n)
+    if even:
+        m, f = m[n // 2 :], f[n // 2 :]
+        f[0] *= _SQRT2
+    return m, f
+
+
+def _parity_coords(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd block coordinates of Dicke amplitudes (along the last axis).
+
+    With j = N/2 and i = 1 ... j: even = (psi_j, (psi_{j+i} + psi_{j-i})/sqrt(2)),
+    odd = (psi_{j+i} - psi_{j-i})/sqrt(2); the first is the basis of ladder(n, even=True).
+    """
+    j = amp.shape[-1] // 2
+    up, down = amp[..., j + 1 :], amp[..., j - 1 :: -1]
+    even = np.concatenate((amp[..., j : j + 1], (up + down) / _SQRT2), axis=-1)
+    return even, (up - down) / _SQRT2
+
+
+def _from_even(even: np.ndarray) -> np.ndarray:
+    """Dicke amplitudes (along the last axis), bitwise even in m, from even block coordinates."""
+    up = even[..., 1:] / _SQRT2
+    return np.concatenate((up[..., ::-1], even[..., :1], up), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -280,38 +321,30 @@ def band_moments(n_particles: int, re: np.ndarray, im: np.ndarray, even: bool = 
 
     The states are the rows re + i*im (a single state may be 1-D), in the
     Dicke basis (N+1 amplitudes) or, with even set, in the N/2+1
-    coordinates of the even block of the mode exchange m -> -m (see
-    exact_dynamics._parity_coords).  Jz is the diagonal m and Jx, Jy couple
-    neighbouring m through the ladder factors, so every moment is O(N)
-    band arithmetic per state, with no operator matrix.  The values are
-    those of covariance_yz and expectation up to summation order; no
+    coordinates of the even block of the mode exchange m -> -m
+    (_parity_coords).  Jz is the diagonal m and Jx, Jy couple neighbouring
+    m through the ladder factors (ladder), so every moment is O(N) band
+    arithmetic per state, with no operator matrix.  The values are those
+    of covariance_yz and expectation up to summation order; no
     first-moment check is applied here.
 
     An even state is its own mirror image, so its moments are sums over
-    m >= 0 in block coordinates c_i, i = |m| = 0 ... N/2: weights i, and
-    the ladder factors f_{N/2+i} with the first scaled by sqrt(2) (the
-    bands of exact_dynamics.even_spectrum).  2i Jy maps the even block onto
-    the odd one, which has no i = 0 coordinate, so the stencil drops it.
-    <Jy> and <Jz> are exactly 0, since Jy and Jz are odd under m -> -m.
+    m >= 0 in block coordinates, from the block's bands.  2i Jy maps the
+    even block onto the odd one, which has no i = 0 coordinate, so that
+    entry of the stencil is 0.  <Jy> and <Jz> are exactly 0, since Jy and
+    Jz are odd under m -> -m.
     """
-    n = _validate_even_n(n_particles)
-    if even:
-        j = n // 2
-        m, f = np.arange(j + 1.0), raising_coefficients(n)[j:]
-        f[0] *= np.sqrt(2.0)
-    else:
-        m, f = m_values(n), raising_coefficients(n)
+    n = n_particles
+    m, f = ladder(n, even)  # validates n
     prob = re * re + im * im
     # 2i Jy psi = (J+ - J-) psi, with (J+ psi)_{k+1} = f_k psi_k and (J- psi)_k = f_k psi_{k+1}
     d_re, d_im = np.zeros_like(re), np.zeros_like(im)
     d_re[..., 1:] = f * re[..., :-1]
     d_im[..., 1:] = f * im[..., :-1]
+    d_re[..., :-1] -= f * re[..., 1:]
+    d_im[..., :-1] -= f * im[..., 1:]
     if even:
-        d_re[..., 1:-1] -= f[1:] * re[..., 2:]
-        d_im[..., 1:-1] -= f[1:] * im[..., 2:]
-    else:
-        d_re[..., :-1] -= f * re[..., 1:]
-        d_im[..., :-1] -= f * im[..., 1:]
+        d_re[..., 0] = d_im[..., 0] = 0.0
     jy_density = re * d_im - im * d_re  # 2 Re(conj(psi) * Jy psi), element by element
     if even:
         jy, jz = np.zeros(prob.shape[:-1]), np.zeros(prob.shape[:-1])

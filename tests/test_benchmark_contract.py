@@ -1,10 +1,11 @@
 """What the benchmark harness in perfbench/ needs of the library.
 
 The harness traces bjjsim's functions by name (layertrace.LAYERS) and drops
-every per-layer metric whose function it finds absent, and it checks each
-job's files against an oracle and stored reference rows.  A renamed or
-removed traced function, or a changed output, breaks the benchmark without
-failing any other test; these tests fail instead.
+every per-layer metric whose function it finds absent, it checks each
+job's files against an oracle and stored reference rows, and each
+workload's set-up calls library functions of its own.  A renamed or
+removed traced function or set-up name, or a changed output, breaks the
+benchmark without failing any other test; these tests fail instead.
 """
 
 import json
@@ -37,6 +38,13 @@ def test_tracer_finds_every_traced_function():
     metrics = tracer.layer_metrics(1, 1.0)
     declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     assert [name for name in declared if metrics.get(name, (None,))[0] is None] == []
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_setup_runs(name):
+    # worker.run_job skips set-up, which imports library names of its own
+    # (build_spin_operators, coherent_state, density_multipoles)
+    WORKLOADS[name].setup()
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -565,6 +565,20 @@ class TestMain:
         conf.write_text("frobnicate = 1\n")
         assert main(["evolve", "--config", str(conf), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("text, written", [
+        ("n = 20\n# a comment\nn = 40\n", "n"),
+        ("lam = 0.5\n\nlambda = 0.9\n", "lambda"),
+        ("lambda = 0.5\n\nlam = 0.9\n", "lam"),
+    ], ids=["n", "lam-lambda", "lambda-lam"])
+    def test_repeated_config_key_rejected(self, tmp_path, capsys, text, written):
+        # lam and lambda are one key; the error names both lines
+        conf = tmp_path / "run.conf"
+        conf.write_text(text)
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(conf), "--steps", "10", "--out", str(out)]) == 1
+        assert f"run.conf:3: key {written!r} repeats the key of line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["window = 0.05", "degree = 3"])
     def test_fit_protocol_keys_rejected(self, tmp_path, capsys, line):
         conf = tmp_path / "run.conf"

@@ -11,11 +11,11 @@ propagate with different eigensolves, so records agree to a tolerance
 fixed from the dtype, 1e-12 relative with a floor of 1 (natural units:
 hbar, shot noise), plus the phase error the two solves' backward errors
 accumulate over t (propagation_rtol); fitted coefficients agree to a
-bound set from the measured gap.  The even block (even_spectrum) is
-checked as a spectrum of H on its own, the kernel in the even block
-against the kernel on band_spectrum, with its eigensolves counted, its
-states against evolve, and at N = 1000 the kernel against scipy's
-expm_multiply; a state with an odd part, which the kernel propagates in
+bound set from the measured gap.  The even block (band_spectrum with
+even set) is checked as a spectrum of H on its own, the kernel in the
+even block against the kernel on the full band_spectrum, with its
+eigensolves counted, its states against evolve, and at N = 1000 the
+kernel against scipy's expm_multiply; a state with an odd part, which the kernel propagates in
 the whole Dicke basis, against the dense reference.  The moments of the
 even block, reduced in its own coordinates, are checked against the
 Dicke reduction of the mirrored state, and the kernel's row slices
@@ -39,7 +39,7 @@ from bjjsim.cli import (
     MAX_N,
     RunConfig,
     SweepConfig,
-    _fit_in_omega_time,
+    _protocol_fit,
     dimensionless_frequency,
     run_evolve,
     run_fit,
@@ -48,12 +48,9 @@ from bjjsim.cli import (
     run_wigner,
 )
 from bjjsim.exact_dynamics import (
-    _from_even,
-    _parity_coords,
     _witness_kernel,
     band_spectrum,
     eigendecompose,
-    even_spectrum,
     evolve,
     hamiltonian,
     hamiltonian_bands,
@@ -61,6 +58,8 @@ from bjjsim.exact_dynamics import (
     zeta2_of_time,
 )
 from bjjsim.spin_core import (
+    _from_even,
+    _parity_coords,
     CovarianceYZ,
     ModelParams,
     StateVector,
@@ -141,7 +140,7 @@ def propagation_rtol(params, t):
     lam = 2.94, pi state, t = 10.8).  The 1e-12 covers the different
     summation orders, the whole gap at t = 0.
     """
-    band, even = band_spectrum(params), even_spectrum(params)
+    band, even = band_spectrum(params), band_spectrum(params, even=True)
     rho = (band_residual(params, band.eigenvalues, band.eigenvectors)
            + band_residual(params, even.eigenvalues, even_vectors(even)))
     return 1e-12 + 4.0 * np.asarray(t, dtype=float) * rho
@@ -202,7 +201,7 @@ def test_fit_on_kernel_matches_dense_fit(model, lam):
     record = dense_witness_of_time(params, psi0)
     records = stacked([record(float(t)) for t in fit_times(n, params.chi)])
     want = np.array(fit_taylor_coeffs(records, n, params.chi).coeffs.as_tuple())
-    got = np.array(_fit_in_omega_time(params, psi0)[0].coeffs.as_tuple())
+    got = np.array(_protocol_fit(params, psi0).coeffs.as_tuple())
     assert np.all(np.abs(got - want) <= 2e-9 * np.maximum(1.0, np.abs(want))), (got, want)
 
 
@@ -309,7 +308,7 @@ def test_band_spectrum_is_bitwise_dense_spectrum(n, lam):
 def test_even_spectrum_is_a_spectrum_of_h(n, lam):
     # the twisting limit (lam = 0) has degenerate +-m levels
     params = ModelParams.twisting(n) if lam == 0.0 else ModelParams.coupled(n, lam)
-    even = even_spectrum(params)
+    even = band_spectrum(params, even=True)
     assert even.dim == n // 2 + 1
     assert np.all(np.diff(even.eigenvalues) >= 0.0)
     u = even.eigenvectors
@@ -445,18 +444,16 @@ def test_kernel_states_match_dense_evolve(n, lam, phi, times):
 @pytest.mark.parametrize("state", ["pi", "zero"])
 def test_wigner_snapshots_come_from_one_even_block_solve(monkeypatch, tmp_path, state):
     # all snapshots from one kernel call: one eigh_tridiagonal of size N/2+1,
-    # neither the full solve nor dense evolve; then one multipole pass for
-    # both snapshots, one tensor block of each size 1 ... N+1
+    # no full solve (the size list) and no dense evolve; then one multipole
+    # pass for both snapshots, one tensor block of each size 1 ... N+1
     n = 40
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the full solve or dense evolve ran")
+        raise AssertionError("dense evolve ran")
 
     for name, module in list(sys.modules.items()):
-        if name == "bjjsim" or name.startswith("bjjsim."):
-            for attr in ("band_spectrum", "evolve"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
+        if (name == "bjjsim" or name.startswith("bjjsim.")) and hasattr(module, "evolve"):
+            monkeypatch.setattr(module, "evolve", refuse)
     sizes = count_eigensolves(monkeypatch)
     cfg = RunConfig(params=ModelParams.coupled(n, 2.0), initial_state=state, out_dir=tmp_path)
     paths = run_wigner(cfg, [0.5, 1.5])
