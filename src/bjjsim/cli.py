@@ -223,7 +223,7 @@ def run_evolve(cfg: RunConfig) -> list[Path]:
 def _protocol_fit(params: ModelParams, psi0: StateVector):
     """Protocol fit of the exact trajectory, in powers of N chi t."""
     n, chi = params.n_particles, params.chi
-    # one kernel call on the full solve; see band_spectrum for why not the even block
+    # one kernel call on the full solve; see band_spectrum for why not a window of the even block
     return fit_taylor_coeffs(_witness_kernel(band_spectrum(params), psi0)(fit_times(n, chi)), n, chi)
 
 
@@ -234,7 +234,7 @@ def _sweep_row(args) -> list:
         cfg = RunConfig(params=params, initial_state=state)
         psi0 = initial_state_vector(cfg)
 
-        # fit first: after the search, its full solve would peak on top of the search's freed blocks
+        # the fit's full solve sets the row's peak; the search's window adds little to it
         fit = _protocol_fit(params, psi0)
         fit_omega = fit.coeffs.in_omega_time(params.lam)
         # the regime of the simulated lam, which can differ from the grid lam in the last bit

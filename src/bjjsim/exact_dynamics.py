@@ -5,14 +5,18 @@ package is measured.  The Hamiltonian chi*Jz^2 - omega*Jx is real symmetric
 tridiagonal in the Dicke basis, so the full spectrum costs O(N^2).  It
 also commutes with the mode exchange m -> -m, and the equatorial coherent
 states are even under it, so trajectories, the minimum search and the
-Wigner snapshots of those states propagate in the even block alone
-(band_spectrum(params, even=True), on the bands of spin_core.ladder):
-one solve, one propagation and one moment reduction of size N/2+1.  A
-state with an odd part propagates in the whole Dicke basis.
+Wigner snapshots of those states propagate in the even block alone, of
+size N/2+1 on the bands of spin_core.ladder; a state with an odd part
+propagates in the whole Dicke basis.  In that sector they take every
+eigenvalue but only the eigenvectors where the state lives: a certified
+spectral window (_window), a short run of eigenvalue indices around its
+energy, widened until the state's part outside it is at most WINDOW_TOL.
+Only the short-time fit solves a full spectrum (band_spectrum).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,20 +70,44 @@ SLICE_DOUBLES = 2**15
 #: coherent_state(1000, pi/2, pi) and 2.6e-13 at N = 4000, 38x below.
 EMPTY_SECTOR_NORM = 1e-3 * FIRST_MOMENT_TOL
 
+#: Relative norm |x - U U^T x| / |x| of psi0's part x outside the window's
+#: eigenvectors U at or below which _window accepts the window.  The
+#: certificate has a floor set by psi0 itself: coherent_state sums
+#: log-gamma values of size up to log N!, which leaves its amplitudes off
+#: by 7.0e-13 at N = 4000 (against 40-digit ones), spread over every
+#: eigenvector.  So no window short of all indices certifies below about
+#: 1.1e-13 at N = 1000 and 6.9e-13 at N = 4000 (measured, both states,
+#: lam = 0.2 ... 10), while the exact amplitudes certify 8.4e-15 in the
+#: same window.  1e-13 would grow every window at MAX_N to all indices;
+#: 1e-12 stays 1.45x above the floor there.  The dropped tail moves the
+#: norm by its square, 1e-24, far inside NORM_TOL, and the written
+#: outputs by at most 4.1e-11 relative (floor 1) at N = 4000.
+WINDOW_TOL = 1e-12
+
+#: Half-width h of the first window, eigenvalue indices i0 - h ... i0 + h
+#: around psi0's energy; each failed try widens it to ceil(1.5 h) and solves
+#: only the added edges, so a narrow start costs extra stein calls, not
+#: extra eigenvectors, while a wide one solves eigenvectors nobody needs.
+#: 16 fits the narrowest windows measured (17-18 indices at lam < 1) in
+#: one try; the zero state at lam > 1 takes 26 indices in two tries and
+#: the pi state at lam > 1 73 (N = 1000) to 109 (N = 4000) in three or four.
+WINDOW_START = 16
+
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition: ascending eigenvalues and orthonormal columns.
+    """Full eigendecomposition: ascending eigenvalues and orthonormal columns.
 
-    Either of the whole H in the Dicke basis (band_spectrum, one solve of
-    size N+1: the short-time fit samples, and any state with an odd part)
-    or of the even block of H under m -> -m in that block's coordinates
-    (band_spectrum with even set, size N/2+1: trajectory, zeta2_of_time
-    and the Wigner snapshots of the equatorial states); both feed the
-    propagation kernel _witness_kernel, and dim is the size of the matrix
-    solved.  The two routes agree to roundoff, but the fit amplifies that
-    roundoff in p4 beyond the tolerance its stored outputs are checked at,
-    so it keeps the full solve.
+    Of the whole H in the Dicke basis (band_spectrum: the short-time fit
+    samples, through the propagation kernel _witness_kernel, and the
+    tests' dense references), or of its even block under m -> -m in that
+    block's coordinates (band_spectrum with even set, which only the tests
+    call); dim is the size of the matrix solved.  Every other run path
+    propagates in a certified window of its sector instead (_sector),
+    which holds only some of the eigenvectors and is no Spectrum.  The
+    fit keeps the full solve: the window and the even block agree with it
+    to roundoff, but the fit amplifies that roundoff in p4 beyond the
+    tolerance its stored outputs are checked at.
     """
 
     n_particles: int
@@ -142,36 +170,141 @@ def band_spectrum(params: ModelParams, even: bool = False) -> Spectrum:
 
     Without even, one (N+1)-point solve, bit for bit equal to
     eigendecompose(hamiltonian(params)).  The samples of the short-time
-    fit use it (the kernel, fed this spectrum by cli._protocol_fit),
-    and the kernel solves it for a state with an odd part.  Against dense
-    per-time samples, the fitted p4 moves by at most 8.3e-9 relative on
-    this spectrum; the even block would move it by up to 6.1e-8 relative
-    at N = 200, 3.5e-8 at N = 1000 and 9.1e-8 at N = 4000, past the 1e-8
-    at which stored fit outputs are compared.
+    fit use it (the kernel, fed this spectrum by cli._protocol_fit), the
+    one run path that solves a full spectrum.  Against dense per-time
+    samples, the fitted p4 moves by at most 8.3e-9 relative on this
+    spectrum; the even block would move it by up to 6.1e-8 relative at
+    N = 200, 3.5e-8 at N = 1000 and 9.1e-8 at N = 4000, past the 1e-8 at
+    which stored fit outputs are compared.
 
     With even set, the block of H that is even under the mode exchange
-    m -> -m, which every other run path propagates in.  H commutes with
-    m -> -m, so in the basis |0>, (|m> + |-m>)/sqrt(2), m = 1 ... N/2,
-    its even part is a tridiagonal block of size N/2+1 (spin_core.ladder).
-    The spectrum is in the block's own coordinates
-    (spin_core._parity_coords); spin_core._from_even maps its columns back
-    to the Dicke basis, each exactly even in m.  Its eigenvalues are those
-    of the whole H with even eigenvectors, to roundoff.
+    m -> -m.  No run path calls it: they propagate in a certified window
+    of that block (_sector), and it stays as the tests' full even-block
+    reference.  H commutes with m -> -m, so in the basis |0>,
+    (|m> + |-m>)/sqrt(2), m = 1 ... N/2, its even part is a tridiagonal
+    block of size N/2+1 (spin_core.ladder).  The spectrum is in the
+    block's own coordinates (spin_core._parity_coords);
+    spin_core._from_even maps its columns back to the Dicke basis, each
+    exactly even in m.  Its eigenvalues are those of the whole H with
+    even eigenvectors, to roundoff.
     """
     return _spectrum(params.n_particles, *hamiltonian_bands(params, even))
 
 
+def _eigenvalues(n_particles: int, diag: np.ndarray, off: np.ndarray):
+    """Every eigenvalue of the tridiagonal (diag, off), ascending: (w, block of each, isplit).
+
+    The matrix splits into blocks where an off-diagonal is zero (every one
+    of them at omega = 0).  dqds (LAPACK sterf, no eigenvectors) solves
+    each block of two or more rows, and a block of one row is its own
+    eigenvalue.  block[i] is the 1-based block of w[i] and isplit the
+    blocks' last rows, as LAPACK stein takes them.  Bisection (stebz) of a
+    window's eigenvalues alone would skip the rest, but costs about
+    0.17 ms per eigenvalue at N/2+1 = 501 and 0.7 ms at 2001, against
+    4.3 and 72 ms for all of them by dqds (one BLAS thread): it would win
+    only for windows under about 25 indices at N = 1000 and 100 at
+    N = 4000, not for the pi state's 73 and 109, and pays off only at
+    larger N.
+    """
+    ends = np.append(np.flatnonzero(off == 0.0) + 1, diag.size)
+    starts = np.append(0, ends[:-1])
+    w = diag.copy()
+    for start, end in zip(starts, ends):
+        if end - start > 1:
+            w[start:end], info = scipy.linalg.lapack.dsterf(diag[start:end], off[start:end - 1])
+            if info:
+                raise RuntimeError(f"eigenvalues failed to converge for N={n_particles}: "
+                                   f"LAPACK sterf info={info}")
+    block = np.repeat(np.arange(1, ends.size + 1), ends - starts)
+    order = np.argsort(w, kind="stable")
+    isplit = np.zeros(diag.size, dtype=np.int32)
+    isplit[: ends.size] = ends
+    return w[order], block[order], isplit
+
+
+def _eigenvectors(n_particles: int, diag, off, w, block, isplit, indices) -> np.ndarray:
+    """Eigenvectors of the eigenvalues w[indices], one column each (LAPACK stein, inverse iteration).
+
+    stein takes the eigenvalues grouped by block, ascending within each;
+    the columns come back in the order of indices.
+    """
+    grouped = np.argsort(block[indices], kind="stable")
+    iblock = np.zeros(diag.size, dtype=np.int32)
+    iblock[: indices.size] = block[indices[grouped]]
+    z, info = scipy.linalg.lapack.dstein(diag, off, w[indices[grouped]], iblock, isplit)
+    if info:
+        raise RuntimeError(f"eigenvectors failed to converge for N={n_particles}: "
+                           f"LAPACK stein info={info}")
+    u = np.empty_like(z)
+    u[:, grouped] = z
+    return u
+
+
+def _outside(x: np.ndarray, u: np.ndarray) -> float:
+    """|x - U U^T x| / |x|: the relative norm of x outside the span of U's orthonormal columns."""
+    xs = np.column_stack((x.real, x.imag))
+    return float(np.linalg.norm(xs - u @ (u.T @ xs)) / np.linalg.norm(xs))
+
+
+def _window(n_particles: int, diag: np.ndarray, off: np.ndarray, x: np.ndarray):
+    """Certified spectral window of the tridiagonal (diag, off) for the vector x.
+
+    Returns (eigenvalues, eigenvectors U, certificate |x - U U^T x| / |x|)
+    of a contiguous run of eigenvalue indices lo ... hi-1, ascending.
+    Every eigenvalue comes from dqds (_eigenvalues); the run starts at
+    i0 +- WINDOW_START around the index i0 of x's energy <x|H|x>, taken
+    from the bands in O(N), and widens by half its half-width per try
+    until the certificate is at most WINDOW_TOL or the run holds every
+    index, the full solve.  The windows of the equatorial states are
+    short: 17 to 109 of the N/2+1 indices at N = 1000 and 4000.
+
+    Each try solves only the indices it adds.  stein (_eigenvectors)
+    orthogonalizes close eigenvectors only within one call, so the new
+    columns are projected off the old ones: near the separatrix the even
+    block's edges, solved apart, overlapped by up to 2.3e-13 (N = 4000,
+    lam = 1.2; 2.5e-15 projected).  A new column that loses more than half its
+    norm there is the near-degenerate partner of an old one, as the
+    doublets of m and -m in the Dicke basis are, split by as little as
+    roundoff above the separatrix; its projection would amplify its
+    errors, so that try solves its whole window in one call instead.
+    """
+    w, block, isplit = _eigenvalues(n_particles, diag, off)
+    n = w.size
+    prob = x.real * x.real + x.imag * x.imag
+    energy = (diag @ prob + 2.0 * off @ (x.real[:-1] * x.real[1:] + x.imag[:-1] * x.imag[1:])) / prob.sum()
+    centre = int(np.searchsorted(w, energy))
+    lo = hi = centre
+    u, half = np.empty((n, 0)), WINDOW_START
+    while True:
+        new_lo, new_hi = max(0, centre - half), min(n, centre + half + 1)
+        z = _eigenvectors(n_particles, diag, off, w, block, isplit, np.r_[new_lo:lo, hi:new_hi])
+        z -= u @ (u.T @ z)
+        norms = np.linalg.norm(z, axis=0)
+        if norms.min() >= 0.5:
+            z /= norms
+            u = np.hstack((z[:, : lo - new_lo], u, z[:, lo - new_lo :]))
+        else:
+            u = _eigenvectors(n_particles, diag, off, w, block, isplit, np.arange(new_lo, new_hi))
+        lo, hi = new_lo, new_hi
+        certificate = _outside(x, u)
+        if certificate <= WINDOW_TOL or hi - lo == n:
+            return w[lo:hi], u, certificate
+        half = math.ceil(1.5 * half)
+
+
 def _sector(params: ModelParams, psi0: StateVector):
-    """The one sector psi0 occupies: (even, eigenvalues, eigenvectors, coordinates of psi0).
+    """Certified window of the sector psi0 occupies: (even, eigenvalues, U, coordinates of psi0, certificate).
 
     The even block when psi0's odd part has norm at most
     EMPTY_SECTOR_NORM, with psi0 in that block's coordinates; otherwise
-    the whole Dicke basis (band_spectrum) and psi0's own amplitudes.
+    the whole Dicke basis and psi0's own amplitudes.  Either way only the
+    eigenvectors of _window, k columns of the sector's size.
     """
     coords, odd = _parity_coords(psi0.amplitudes)
     even = bool(np.linalg.norm(odd) <= EMPTY_SECTOR_NORM)
-    spec = band_spectrum(params, even)
-    return even, spec.eigenvalues, spec.eigenvectors, coords if even else psi0.amplitudes
+    x = coords if even else psi0.amplitudes
+    energies, u, certificate = _window(params.n_particles, *hamiltonian_bands(params, even), x)
+    return even, energies, u, x, certificate
 
 
 def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
@@ -186,16 +319,20 @@ def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
 def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
     """Propagation kernel of one (H, psi0): a 1-D array of times -> one record of arrays.
 
-    The one propagator.  It works in one sector: a spectrum, and psi0's
-    coordinates in its basis.  Given a Spectrum of the whole H
+    The one propagator.  It works in one sector: eigenvalues w, k
+    orthonormal eigenvectors U of the sector's size n, and psi0's
+    coordinates p in its basis.  Given a Spectrum of the whole H
     (band_spectrum; only the short-time fit, cli._protocol_fit), the
-    sector is the Dicke basis itself.  Given the ModelParams (trajectory;
-    zeta2_of_time, which sends the minimum search's whole grid in one call
-    and its refinement one time per call; the Wigner snapshots of
-    cli.run_wigner), it is the sector psi0 occupies (_sector): the even
-    block under m -> -m, one solve of size N/2+1, for the equatorial
-    coherent states, and the Dicke basis for a state with an odd part
-    beyond EMPTY_SECTOR_NORM.  The times may come in any order; each call
+    sector is the Dicke basis itself, with all k = n eigenvectors.  Given
+    the ModelParams (trajectory; zeta2_of_time, which sends the minimum
+    search's whole grid in one call and its refinement one time per call;
+    the Wigner snapshots of cli.run_wigner), it is the certified window
+    of the sector psi0 occupies (_sector): the even block under m -> -m,
+    n = N/2+1, for the equatorial coherent states, and the Dicke basis
+    for a state with an odd part beyond EMPTY_SECTOR_NORM; there U holds
+    only the k eigenvectors where psi0 lives, its part outside them at
+    most WINDOW_TOL.  records.window is k and records.certificate that
+    part, |p - U U^T p| / |p|.  The times may come in any order; each call
     is one pass through them.  c = U^T p is formed once; every block of at
     most PROPAGATION_DOUBLES doubles of Dicke amplitudes is propagated as
     two real matrix products U Re(e^{-iwt} c) and U Im(e^{-iwt} c).
@@ -216,12 +353,13 @@ def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
         if source.dim != psi0.dim:
             raise ValueError(f"dimension mismatch: spectrum dim={source.dim}, state dim={psi0.dim}")
         even, energies, u, p = False, source.eigenvalues, source.eigenvectors, psi0.amplitudes
+        certificate = _outside(p, u)
     else:
         if source.n_particles != n:
             raise ValueError(
                 f"dimension mismatch: model dim={source.n_particles + 1}, state dim={psi0.dim}"
             )
-        even, energies, u, p = _sector(source, psi0)
+        even, energies, u, p, certificate = _sector(source, psi0)
     c_re, c_im = p.real @ u, p.imag @ u
     chunk = max(1, PROPAGATION_DOUBLES // (2 * psi0.dim))
 
@@ -257,6 +395,7 @@ def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
         return make_record(times, mom.jx, CovarianceYZ(mom.gzz, mom.gyy, mom.gyz), n)
 
     records.states = states
+    records.window, records.certificate = energies.size, certificate
     return records
 
 
@@ -285,8 +424,9 @@ def zeta2_of_time(params: ModelParams, psi0: StateVector):
 
     Like a ufunc: a float time gives a float, an array of times an array
     of zeta^2 of the same shape, in any order.  The propagation kernel is
-    built once in the sector psi0 occupies (one half-size
-    diagonalization for an equatorial state, c = U^T p formed once), and
+    built once in the certified window of the sector psi0 occupies (for
+    an equatorial state, the even block's eigenvalues and the few
+    eigenvectors where psi0 lives; c = U^T p formed once), and
     each call is one kernel call with all its times, whose record's
     zeta2_opt it returns, reshaped.  minimize_zeta2 sends its whole grid in
     one call and its refinement one time per call.

@@ -81,7 +81,9 @@ class TaylorFit:
 def xi2_opt(jx_mean, lambda_minus, n_particles: int):
     """Optimal spin-squeezing witness N^2 lambda_- / (4 <Jx>^2), elementwise."""
     check_all(jx_mean != 0.0, "mean spin fully depolarized (<Jx> = 0): squeezing witness undefined")
-    return n_particles**2 * lambda_minus / (4.0 * jx_mean**2)
+    # jx * jx, not jx**2: a float's ** goes through libm pow, which may round
+    # differently from an array's square, and floats and arrays share these bits
+    return n_particles**2 * lambda_minus / (4.0 * (jx_mean * jx_mean))
 
 
 def zeta2_opt(lambda_plus):

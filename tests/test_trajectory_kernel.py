@@ -12,11 +12,14 @@ fixed from the dtype, 1e-12 relative with a floor of 1 (natural units:
 hbar, shot noise), plus the phase error the two solves' backward errors
 accumulate over t (propagation_rtol); fitted coefficients agree to a
 bound set from the measured gap.  The even block (band_spectrum with
-even set) is checked as a spectrum of H on its own, the kernel in the
-even block against the kernel on the full band_spectrum, with its
-eigensolves counted, its states against evolve, and at N = 1000 the
-kernel against scipy's expm_multiply; a state with an odd part, which the kernel propagates in
-the whole Dicke basis, against the dense reference.  The moments of the
+even set) is checked as a spectrum of H on its own, and the kernel's
+certified window of it (or of the whole Dicke basis) as eigenpairs of a
+contiguous run of that spectrum which holds psi0 to WINDOW_TOL.  The
+kernel in the window is checked against the kernel on the full
+band_spectrum, with its eigensolves counted, its states against evolve,
+and at N = 1000 against scipy's expm_multiply; a state with an odd part,
+which the kernel propagates in the whole Dicke basis, against the dense
+reference.  The moments of the
 even block, reduced in its own coordinates, are checked against the
 Dicke reduction of the mirrored state, and the kernel's row slices
 against the default ones, bit for bit.
@@ -352,32 +355,53 @@ def test_sector_kernel_matches_band_kernel(n, lam, phi, times):
 
 
 def count_eigensolves(monkeypatch):
-    sizes = []
-    solve = scipy.linalg.eigh_tridiagonal
+    """Eigensolves made from here on, in order.
 
-    def counted(d, e, *args, **kwargs):
-        sizes.append(len(d))
-        return solve(d, e, *args, **kwargs)
+    ("full", size) for each eigh_tridiagonal call, ("values", size) for each
+    eigenvalue solve (LAPACK sterf) and ("vectors", count) for the
+    eigenvectors LAPACK stein computes, consecutive stein calls summed.
+    """
+    events = []
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
-    return sizes
+    def count(module, name, kind, size):
+        solve = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            if kind == "vectors" and events and events[-1][0] == kind:
+                events[-1] = (kind, events[-1][1] + size(*args))
+            else:
+                events.append((kind, size(*args)))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(scipy.linalg, "eigh_tridiagonal", "full", lambda d, *rest: len(d))
+    count(scipy.linalg.lapack, "dsterf", "values", lambda d, *rest: len(d))
+    count(scipy.linalg.lapack, "dstein", "vectors", lambda d, e, w, *rest: len(w))
+    return events
+
+
+def even_window_solve(params, psi0):
+    """One equatorial kernel's eigensolves: the even block's N/2+1 eigenvalues, its window's k eigenvectors."""
+    return [("values", params.n_particles // 2 + 1), ("vectors", _witness_kernel(params, psi0).window)]
 
 
 @pytest.mark.parametrize("phi", [math.pi, 0.0])
 @pytest.mark.parametrize("n", [2, 40, 1000])
 def test_equatorial_trajectory_solves_the_even_block_once(monkeypatch, n, phi):
     params, psi0 = ModelParams.coupled(n, 2.0), coherent_state(n, math.pi / 2, phi)
+    solve = even_window_solve(params, psi0)
     sizes = count_eigensolves(monkeypatch)
     trajectory(params, psi0, [0.0, 0.5, 1.0])
-    assert sizes == [n // 2 + 1]
+    assert sizes == solve
     zeta2 = zeta2_of_time(params, psi0)
     zeta2(0.5), zeta2(1.0)
-    assert sizes == [n // 2 + 1] * 2
+    assert sizes == solve * 2
 
 
 @pytest.mark.parametrize("state", ["pi", "zero"])
 def test_minimum_search_sends_its_grid_in_one_kernel_call(monkeypatch, state):
-    # the sweep's search: one even-block solve, the whole grid in one kernel
+    # the sweep's search: one even-block window, the whole grid in one kernel
     # call, then the golden-section refinement one time per call
     n = 200
     cfg = RunConfig(params=ModelParams.coupled(n, 2.0), initial_state=state)
@@ -387,6 +411,7 @@ def test_minimum_search_sends_its_grid_in_one_kernel_call(monkeypatch, state):
     tol = 1e-4 / freq
     calls = []
     kernel = exact_dynamics._witness_kernel
+    solve = even_window_solve(cfg.params, psi0)
 
     def counted_kernel(source, psi):
         records = kernel(source, psi)
@@ -400,7 +425,7 @@ def test_minimum_search_sends_its_grid_in_one_kernel_call(monkeypatch, state):
     monkeypatch.setattr(exact_dynamics, "_witness_kernel", counted_kernel)
     sizes = count_eigensolves(monkeypatch)
     minimize_zeta2(zeta2_of_time(cfg.params, psi0), t_hi, tol=tol)
-    assert sizes == [n // 2 + 1]
+    assert sizes == solve
     assert np.array_equal(calls[0], np.linspace(0.0, t_hi, 601)[1:])
     assert [len(ts) for ts in calls[1:]] == [1] * (len(calls) - 1)
     # two probes, then one per step shrinking the grid bracket (at most two
@@ -443,10 +468,13 @@ def test_kernel_states_match_dense_evolve(n, lam, phi, times):
 
 @pytest.mark.parametrize("state", ["pi", "zero"])
 def test_wigner_snapshots_come_from_one_even_block_solve(monkeypatch, tmp_path, state):
-    # all snapshots from one kernel call: one eigh_tridiagonal of size N/2+1,
-    # no full solve (the size list) and no dense evolve; then one multipole
-    # pass for both snapshots, one tensor block of each size 1 ... N+1
+    # all snapshots from one kernel call: the even block's eigenvalues and its
+    # window's eigenvectors, no full solve (the size list) and no dense
+    # evolve; then one multipole pass for both snapshots, one tensor block
+    # (eigh_tridiagonal) of each size 1 ... N+1
     n = 40
+    solve = even_window_solve(ModelParams.coupled(n, 2.0),
+                              coherent_state(n, math.pi / 2, math.pi if state == "pi" else 0.0))
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense evolve ran")
@@ -457,7 +485,7 @@ def test_wigner_snapshots_come_from_one_even_block_solve(monkeypatch, tmp_path, 
     sizes = count_eigensolves(monkeypatch)
     cfg = RunConfig(params=ModelParams.coupled(n, 2.0), initial_state=state, out_dir=tmp_path)
     paths = run_wigner(cfg, [0.5, 1.5])
-    assert sizes == [n // 2 + 1] + list(range(1, n + 2))
+    assert sizes == solve + [("full", size) for size in range(1, n + 2)]
     assert sorted(p.name for p in paths) == ["separatrix.csv", "wigner_t00.csv", "wigner_t01.csv"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["separatrix.csv", "wigner_t00.csv",
                                                            "wigner_t01.csv"]
@@ -468,22 +496,25 @@ def test_trajectory_commands_solve_the_even_block_once(monkeypatch, tmp_path, st
     n = 40
     cfg = RunConfig(params=ModelParams.coupled(n, 2.0), initial_state=state, t_max=2.0,
                     n_steps=10, out_dir=tmp_path, compare=("analytic", "oat"))
+    solve = even_window_solve(cfg.params, coherent_state(n, math.pi / 2, math.pi if state == "pi" else 0.0))
     sizes = count_eigensolves(monkeypatch)
     run_evolve(cfg)
-    assert sizes == [n // 2 + 1]
+    assert sizes == solve
     run_oat_compare(cfg)
-    assert sizes == [n // 2 + 1] * 2
+    assert sizes == solve * 2
 
 
 @pytest.mark.parametrize("state", ["pi", "zero"])
 def test_sweep_solve_sizes(monkeypatch, tmp_path, state):
     # the OAT reference fit on the full solve, then per row the fit on the
-    # full solve and the minimum search on the even block
+    # full solve and the minimum search in the even block's window
     n = 40
+    psi0 = coherent_state(n, math.pi / 2, math.pi if state == "pi" else 0.0)
+    rows = [[("full", n + 1)] + even_window_solve(ModelParams.coupled(n, lam), psi0) for lam in (0.5, 2.0)]
     sizes = count_eigensolves(monkeypatch)
     run_sweep(SweepConfig(lambda_grid=(0.5, 2.0), base=RunConfig(
         params=ModelParams.coupled(n, 2.0), initial_state=state, out_dir=tmp_path)))
-    assert sizes == [n + 1] + [n + 1, n // 2 + 1] * 2
+    assert sizes == [("full", n + 1)] + rows[0] + rows[1]
     with open(tmp_path / "sweep.csv", newline="") as fh:
         fh.readline()
         assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "ok"]
@@ -513,19 +544,123 @@ def parity_state(n, even_part, odd_part):
     (0.0, 1.0, "odd"),
 ])
 def test_occupied_sectors_are_solved_and_propagated(monkeypatch, even_part, odd_part, solved):
-    # the even block alone when the odd part is empty, else one solve of the
-    # whole H; either way the records of the dense per-time reference
+    # the even block alone when the odd part is empty, else the whole H:
+    # every eigenvalue of the one sector and its window's eigenvectors;
+    # either way the records of the dense per-time reference
     n = 60
     params, psi0 = ModelParams.coupled(n, 2.0), parity_state(n, even_part, odd_part)
     sizes = count_eigensolves(monkeypatch)
     kernel = _witness_kernel(params, psi0)
-    assert sizes == ([n // 2 + 1] if solved == "even" else [n + 1])
+    assert sizes == [("values", n // 2 + 1 if solved == "even" else n + 1), ("vectors", kernel.window)]
     times = np.linspace(0.0, 1.0, 11)
     record = dense_witness_of_time(params, psi0)
     got, want = kernel(times), stacked([record(float(t)) for t in times])
     a, b = np.column_stack(kernel_fields(got)), np.column_stack(kernel_fields(want))
     tol = propagation_rtol(params, times)[:, None]
     assert np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))), (a, b)
+
+
+def assert_certified_window(params, psi0):
+    """The kernel's window: eigenpairs of a contiguous run of its sector's spectrum, holding psi0 to WINDOW_TOL.
+
+    Returns the window's eigenvalues, the sector's whole spectrum and the
+    tolerance on eigenvalues.
+    """
+    kernel = _witness_kernel(params, psi0)
+    even, w, u, x, certificate = exact_dynamics._sector(params, psi0)
+    assert (kernel.window, kernel.certificate) == (w.size, certificate)
+    assert certificate <= exact_dynamics.WINDOW_TOL
+    assert np.linalg.norm(x - u @ (u.T @ x)) <= exact_dynamics.WINDOW_TOL * np.linalg.norm(x)
+    assert np.abs(u.T @ u - np.eye(w.size)).max() <= 1e-13
+    # the bounds of test_even_spectrum_is_a_spectrum_of_h, on the window
+    norm_h = max(1.0, np.abs(band_spectrum(params).eigenvalues).max())
+    tol = 1e-13 * norm_h
+    sector = band_spectrum(params, even=even).eigenvalues
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.abs(w[:, None] - sector).min(axis=1).max() <= tol
+    # a contiguous run: no other eigenvalue of the sector lies between the
+    # window's, but for a Dicke-basis doublet partner at either edge
+    inside = np.count_nonzero((sector >= w[0] - tol) & (sector <= w[-1] + tol))
+    assert w.size <= inside <= w.size + (0 if even else 2)
+    v = _from_even(u.T).T if even else u
+    assert band_residual(params, w, v) <= tol
+    return w, sector, tol
+
+
+@PROPERTY
+@given(n=even_n, lam=st.one_of(st.just(0.0), st.floats(0.05, 5.0)), phi=phis)
+@example(n=2, lam=1.5, phi=math.pi)
+@example(n=2, lam=0.0, phi=0.0)
+@example(n=60, lam=0.0, phi=math.pi)
+def test_window_is_certified(n, lam, phi):
+    # lam = 0 is omega = 0: every off-diagonal is -0.0 and H splits into 1 x 1 blocks
+    params = ModelParams.twisting(n) if lam == 0.0 else ModelParams.coupled(n, lam)
+    assert_certified_window(params, coherent_state(n, math.pi / 2, phi))
+
+
+@pytest.mark.parametrize("phi, lam, where", [
+    (0.0, 2.0, "bottom"),
+    (math.pi, 0.5, "top"),
+    (math.pi, 2.0, "interior"),
+])
+def test_window_at_the_edges_and_inside(phi, lam, where):
+    # the zero state sits at the bottom of the spectrum, the pi state at its
+    # top below the bifurcation and inside it above; at N = 1000 each takes
+    # at most 100 of the 501 eigenvectors of the even block
+    n = 1000
+    params, psi0 = ModelParams.coupled(n, lam), coherent_state(n, math.pi / 2, phi)
+    w, sector, tol = assert_certified_window(params, psi0)
+    assert w.size <= 100 and sector.size == n // 2 + 1
+    edges = abs(w[0] - sector[0]) <= tol, abs(w[-1] - sector[-1]) <= tol
+    assert edges == {"bottom": (True, False), "top": (False, True), "interior": (False, False)}[where]
+
+
+def test_spread_state_takes_the_whole_block():
+    # a random even state occupies every eigenvector: the window grows to all
+    # indices, and the kernel still gives the dense reference's records
+    n = 60
+    rng = np.random.default_rng(3)
+    coords = rng.normal(size=n // 2 + 1) + 1j * rng.normal(size=n // 2 + 1)
+    amp = _from_even(coords)
+    params, psi0 = ModelParams.coupled(n, 2.0), StateVector(n, amp / np.linalg.norm(amp))
+    assert_certified_window(params, psi0)
+    kernel = _witness_kernel(params, psi0)
+    assert kernel.window == n // 2 + 1
+    times = np.linspace(0.0, 1.0, 11)
+    record = dense_witness_of_time(params, psi0)
+    got, want = kernel(times), stacked([record(float(t)) for t in times])
+    a, b = np.column_stack(kernel_fields(got)), np.column_stack(kernel_fields(want))
+    tol = propagation_rtol(params, times)[:, None]
+    assert np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))), (a, b)
+
+
+@pytest.mark.parametrize("n, lam, theta, phi", [
+    (60, 2.0, 1.2, math.pi),
+    (200, 2.0, 1.2, math.pi),
+    (200, 5.0, 1.2, math.pi),
+    (1000, 5.0, 1.2, math.pi),
+])
+def test_dicke_basis_window_is_certified(n, lam, theta, phi):
+    # off the equator psi0 has an odd part, and its window lies in the whole
+    # Dicke basis, whose levels of m and -m pair into doublets split by as
+    # little as roundoff above the separatrix; the window keeps its bounds
+    # wherever a try's edge splits a doublet
+    assert_certified_window(ModelParams.coupled(n, lam), coherent_state(n, theta, phi))
+
+
+@pytest.mark.parametrize("routine", ["dsterf", "dstein"])
+def test_window_solve_failure_names_n(monkeypatch, routine):
+    # a LAPACK failure (info > 0) is a numerical failure naming N, as in _spectrum
+    solve = getattr(scipy.linalg.lapack, routine)
+
+    def failing(*args, **kwargs):
+        *out, _ = solve(*args, **kwargs)
+        return (*out, 1)
+
+    monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+    params, psi0 = ModelParams.coupled(40, 2.0), coherent_state(40, math.pi / 2, math.pi)
+    with pytest.raises(RuntimeError, match=r"failed to converge for N=40: LAPACK \w+ info=1"):
+        _witness_kernel(params, psi0)
 
 
 def test_trajectory_matches_expm_multiply_at_large_n():
