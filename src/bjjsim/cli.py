@@ -37,11 +37,12 @@ from .witnesses import (
 
 ENV_OUT_DIR = "BJJ_OUT_DIR"
 #: Largest particle number accepted.  Trajectories and the minimum search
-#: hold the even parity block's eigenvectors, about (N/2+1)^2 doubles
-#: (31 MiB at N = 4000).  The fit samples hold the full real eigenvector
-#: matrix V, 8 (N+1)^2 bytes (122 MiB at N = 4000), and the eigensolver
-#: peaks at about twice that while it runs; that sets the limit.  No run
-#: path builds an operator table.
+#: hold the k eigenvectors of the even block's window, (N/2+1) k doubles
+#: (k <= 245 at N = 4000: 3.7 MiB).  The fit samples hold the full real
+#: eigenvector matrix V, 8 (N+1)^2 bytes (122 MiB at N = 4000), as does a
+#: state with an odd part, and the eigensolver peaks at about twice that
+#: while it runs; that sets the limit.  No run path builds an operator
+#: table.
 MAX_N = 4000
 #: Largest particle number for `wigner`.  Memory is O(N^2): the multipole
 #: pass holds two tensor blocks and (N+1)^2 complex multipoles per snapshot,
@@ -55,6 +56,16 @@ MAX_N = 4000
 #: O(N^3) parts take 8 times as long and the CSV is 4 times the size.
 #: Memory no longer sets it.
 WIGNER_MAX_N = 500
+#: Bytes of the multipoles that `wigner` holds for all its snapshots at
+#: once, 16 (N+1)^2 per snapshot (3.8 MiB at N = 500): the one multipole
+#: pass fills them all before the first grid is summed, so they grow with
+#: the snapshot count that no other limit bounds.  128 MiB admits 33
+#: snapshots at N = 500 and 2254 at N = 60.  At N = 500 (one BLAS thread)
+#: the propagation and the pass peak at 75 MiB RSS for one snapshot and
+#: 200 MiB for 33, and one snapshot's grids and CSV text add about
+#: 70 MiB: below the about 320 MB of the largest fit.  More snapshots are
+#: a configuration error before any propagation.
+WIGNER_MULTIPOLE_BYTES = 2**27
 #: Most time steps accepted by `evolve` and `oat-compare`.  Every column is
 #: an array of n_steps doubles, and both writers convert and write the rows
 #: a block at a time: `evolve --compare analytic,oat` peaks at about
@@ -295,6 +306,9 @@ def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = No
     n = p.n_particles
     if n > WIGNER_MAX_N:
         raise ConfigError(f"N = {n} exceeds the Wigner limit N <= {WIGNER_MAX_N}")
+    if len(snapshot_times) * 16 * (n + 1) ** 2 > WIGNER_MULTIPOLE_BYTES:
+        raise ConfigError(f"{len(snapshot_times)} snapshots exceed the limit of "
+                          f"{WIGNER_MULTIPOLE_BYTES // (16 * (n + 1) ** 2)} at N = {n}")
 
     # every snapshot from one kernel call, in the sector psi0 occupies,
     # and the multipoles of all of them from one pass over the tensor blocks

@@ -6,12 +6,12 @@ tridiagonal in the Dicke basis, so the full spectrum costs O(N^2).  It
 also commutes with the mode exchange m -> -m, and the equatorial coherent
 states are even under it, so trajectories, the minimum search and the
 Wigner snapshots of those states propagate in the even block alone, of
-size N/2+1 on the bands of spin_core.ladder; a state with an odd part
-propagates in the whole Dicke basis.  In that sector they take every
+size N/2+1 on the bands of spin_core.ladder.  There they take every
 eigenvalue but only the eigenvectors where the state lives: a certified
 spectral window (_window), a short run of eigenvalue indices around its
 energy, widened until the state's part outside it is at most WINDOW_TOL.
-Only the short-time fit solves a full spectrum (band_spectrum).
+The short-time fit and a state with an odd part take the full spectrum
+of H instead (band_spectrum).
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ SLICE_DOUBLES = 2**15
 #: Norm at or below which psi0's odd part under m -> -m counts as empty,
 #: so the kernel solves and propagates the even block alone and reduces
 #: in its coordinates (band_moments), where <Jy> and <Jz> are exactly 0;
-#: above it, the kernel works in the whole Dicke basis.  Dropping an odd
+#: above it, the kernel takes the full (N+1)-point solve of H
+#: (band_spectrum) and works in the whole Dicke basis.  Dropping an odd
 #: part o changes no check's verdict and no reported value beyond
 #: roundoff: <Jy> and <Jz>, odd under m -> -m, would be at most
 #: 2 |<e|J|o>| <= N |o| with o kept, a thousandth of the first-moment
@@ -99,15 +100,16 @@ class Spectrum:
     """Full eigendecomposition: ascending eigenvalues and orthonormal columns.
 
     Of the whole H in the Dicke basis (band_spectrum: the short-time fit
-    samples, through the propagation kernel _witness_kernel, and the
-    tests' dense references), or of its even block under m -> -m in that
-    block's coordinates (band_spectrum with even set, which only the tests
-    call); dim is the size of the matrix solved.  Every other run path
-    propagates in a certified window of its sector instead (_sector),
-    which holds only some of the eigenvectors and is no Spectrum.  The
-    fit keeps the full solve: the window and the even block agree with it
-    to roundoff, but the fit amplifies that roundoff in p4 beyond the
-    tolerance its stored outputs are checked at.
+    samples and the states with an odd part, through the propagation
+    kernel _witness_kernel, and the tests' dense references), or of its
+    even block under m -> -m in that block's coordinates (band_spectrum
+    with even set, which only the tests call); dim is the size of the
+    matrix solved.  Every other run path propagates in a certified window
+    of the even block instead (_window), which holds only some of the
+    eigenvectors and is no Spectrum.  The fit keeps the full solve: the
+    window and the even block agree with it to roundoff, but the fit
+    amplifies that roundoff in p4 beyond the tolerance its stored outputs
+    are checked at.
     """
 
     n_particles: int
@@ -170,8 +172,9 @@ def band_spectrum(params: ModelParams, even: bool = False) -> Spectrum:
 
     Without even, one (N+1)-point solve, bit for bit equal to
     eigendecompose(hamiltonian(params)).  The samples of the short-time
-    fit use it (the kernel, fed this spectrum by cli._protocol_fit), the
-    one run path that solves a full spectrum.  Against dense per-time
+    fit use it (the kernel, fed this spectrum by cli._protocol_fit), and
+    so does the kernel for a state with an odd part; no command starts
+    from such a state.  Against dense per-time
     samples, the fitted p4 moves by at most 8.3e-9 relative on this
     spectrum; the even block would move it by up to 6.1e-8 relative at
     N = 200, 3.5e-8 at N = 1000 and 9.1e-8 at N = 4000, past the 1e-8 at
@@ -179,7 +182,7 @@ def band_spectrum(params: ModelParams, even: bool = False) -> Spectrum:
 
     With even set, the block of H that is even under the mode exchange
     m -> -m.  No run path calls it: they propagate in a certified window
-    of that block (_sector), and it stays as the tests' full even-block
+    of that block (_window), and it stays as the tests' full even-block
     reference.  H commutes with m -> -m, so in the basis |0>,
     (|m> + |-m>)/sqrt(2), m = 1 ... N/2, its even part is a tridiagonal
     block of size N/2+1 (spin_core.ladder).  The spectrum is in the
@@ -246,8 +249,8 @@ def _outside(x: np.ndarray, u: np.ndarray) -> float:
     return float(np.linalg.norm(xs - u @ (u.T @ xs)) / np.linalg.norm(xs))
 
 
-def _window(n_particles: int, diag: np.ndarray, off: np.ndarray, x: np.ndarray):
-    """Certified spectral window of the tridiagonal (diag, off) for the vector x.
+def _window(params: ModelParams, x: np.ndarray):
+    """Certified spectral window of H's even block for x, in that block's coordinates.
 
     Returns (eigenvalues, eigenvectors U, certificate |x - U U^T x| / |x|)
     of a contiguous run of eigenvalue indices lo ... hi-1, ascending.
@@ -256,19 +259,22 @@ def _window(n_particles: int, diag: np.ndarray, off: np.ndarray, x: np.ndarray):
     from the bands in O(N), and widens by half its half-width per try
     until the certificate is at most WINDOW_TOL or the run holds every
     index, the full solve.  The windows of the equatorial states are
-    short: 17 to 109 of the N/2+1 indices at N = 1000 and 4000.
+    short: at N = 1000 and 4000, 17 to 109 of the N/2+1 indices for
+    lam <= 2; at lam = 10 the zero state takes 56 and the pi state 163
+    (N = 1000) and 245 (N = 4000).
 
     Each try solves only the indices it adds.  stein (_eigenvectors)
     orthogonalizes close eigenvectors only within one call, so the new
-    columns are projected off the old ones: near the separatrix the even
+    columns are projected off the old ones: near the separatrix the
     block's edges, solved apart, overlapped by up to 2.3e-13 (N = 4000,
-    lam = 1.2; 2.5e-15 projected).  A new column that loses more than half its
-    norm there is the near-degenerate partner of an old one, as the
-    doublets of m and -m in the Dicke basis are, split by as little as
-    roundoff above the separatrix; its projection would amplify its
-    errors, so that try solves its whole window in one call instead.
+    lam = 1.2; 2.5e-15 projected).  The block's levels stay apart: of
+    each m, -m doublet of the Dicke basis, split by as little as roundoff
+    above the separatrix, it holds one level, and at omega = 0 its levels
+    are the distinct chi m^2.  So no new column is the near-twin of an
+    old one, and the projection leaves each nearly its whole norm.
     """
-    w, block, isplit = _eigenvalues(n_particles, diag, off)
+    diag, off = hamiltonian_bands(params, even=True)
+    w, block, isplit = _eigenvalues(params.n_particles, diag, off)
     n = w.size
     prob = x.real * x.real + x.imag * x.imag
     energy = (diag @ prob + 2.0 * off @ (x.real[:-1] * x.real[1:] + x.imag[:-1] * x.imag[1:])) / prob.sum()
@@ -277,34 +283,15 @@ def _window(n_particles: int, diag: np.ndarray, off: np.ndarray, x: np.ndarray):
     u, half = np.empty((n, 0)), WINDOW_START
     while True:
         new_lo, new_hi = max(0, centre - half), min(n, centre + half + 1)
-        z = _eigenvectors(n_particles, diag, off, w, block, isplit, np.r_[new_lo:lo, hi:new_hi])
+        z = _eigenvectors(params.n_particles, diag, off, w, block, isplit, np.r_[new_lo:lo, hi:new_hi])
         z -= u @ (u.T @ z)
-        norms = np.linalg.norm(z, axis=0)
-        if norms.min() >= 0.5:
-            z /= norms
-            u = np.hstack((z[:, : lo - new_lo], u, z[:, lo - new_lo :]))
-        else:
-            u = _eigenvectors(n_particles, diag, off, w, block, isplit, np.arange(new_lo, new_hi))
+        z /= np.linalg.norm(z, axis=0)
+        u = np.hstack((z[:, : lo - new_lo], u, z[:, lo - new_lo :]))
         lo, hi = new_lo, new_hi
         certificate = _outside(x, u)
         if certificate <= WINDOW_TOL or hi - lo == n:
             return w[lo:hi], u, certificate
         half = math.ceil(1.5 * half)
-
-
-def _sector(params: ModelParams, psi0: StateVector):
-    """Certified window of the sector psi0 occupies: (even, eigenvalues, U, coordinates of psi0, certificate).
-
-    The even block when psi0's odd part has norm at most
-    EMPTY_SECTOR_NORM, with psi0 in that block's coordinates; otherwise
-    the whole Dicke basis and psi0's own amplitudes.  Either way only the
-    eigenvectors of _window, k columns of the sector's size.
-    """
-    coords, odd = _parity_coords(psi0.amplitudes)
-    even = bool(np.linalg.norm(odd) <= EMPTY_SECTOR_NORM)
-    x = coords if even else psi0.amplitudes
-    energies, u, certificate = _window(params.n_particles, *hamiltonian_bands(params, even), x)
-    return even, energies, u, x, certificate
 
 
 def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
@@ -327,12 +314,13 @@ def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
     the ModelParams (trajectory; zeta2_of_time, which sends the minimum
     search's whole grid in one call and its refinement one time per call;
     the Wigner snapshots of cli.run_wigner), it is the certified window
-    of the sector psi0 occupies (_sector): the even block under m -> -m,
-    n = N/2+1, for the equatorial coherent states, and the Dicke basis
-    for a state with an odd part beyond EMPTY_SECTOR_NORM; there U holds
-    only the k eigenvectors where psi0 lives, its part outside them at
-    most WINDOW_TOL.  records.window is k and records.certificate that
-    part, |p - U U^T p| / |p|.  The times may come in any order; each call
+    of the even block under m -> -m (_window), n = N/2+1, when psi0's odd
+    part is at most EMPTY_SECTOR_NORM, as for the equatorial coherent
+    states: U holds only the k eigenvectors where psi0 lives, its part
+    outside them at most WINDOW_TOL.  A state with a larger odd part
+    takes band_spectrum(params), as the fit does.  records.window is k
+    and records.certificate psi0's part outside U,
+    |p - U U^T p| / |p|.  The times may come in any order; each call
     is one pass through them.  c = U^T p is formed once; every block of at
     most PROPAGATION_DOUBLES doubles of Dicke amplitudes is propagated as
     two real matrix products U Re(e^{-iwt} c) and U Im(e^{-iwt} c).
@@ -349,17 +337,21 @@ def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
     which move no bits: every one of these stages works row by row.
     """
     n = psi0.n_particles
-    if isinstance(source, Spectrum):
-        if source.dim != psi0.dim:
-            raise ValueError(f"dimension mismatch: spectrum dim={source.dim}, state dim={psi0.dim}")
-        even, energies, u, p = False, source.eigenvalues, source.eigenvectors, psi0.amplitudes
-        certificate = _outside(p, u)
-    else:
+    if isinstance(source, ModelParams):
         if source.n_particles != n:
-            raise ValueError(
-                f"dimension mismatch: model dim={source.n_particles + 1}, state dim={psi0.dim}"
-            )
-        even, energies, u, p, certificate = _sector(source, psi0)
+            raise ValueError(f"dimension mismatch: model dim={source.n_particles + 1}, "
+                             f"state dim={psi0.dim}")
+        p, odd = _parity_coords(psi0.amplitudes)
+        if np.linalg.norm(odd) > EMPTY_SECTOR_NORM:
+            source = band_spectrum(source)  # the full solve, as the fit's
+    elif source.dim != psi0.dim:
+        raise ValueError(f"dimension mismatch: spectrum dim={source.dim}, state dim={psi0.dim}")
+    even = isinstance(source, ModelParams)
+    if even:
+        energies, u, certificate = _window(source, p)
+    else:
+        energies, u, p = source.eigenvalues, source.eigenvectors, psi0.amplitudes
+        certificate = _outside(p, u)
     c_re, c_im = p.real @ u, p.imag @ u
     chunk = max(1, PROPAGATION_DOUBLES // (2 * psi0.dim))
 
@@ -404,8 +396,8 @@ def trajectory(params: ModelParams, psi0: StateVector, times) -> WitnessRecord:
 
     The time grid is caller-supplied; spectral propagation is exact at any t,
     so no internal stepping is needed.  All times go through one call of the
-    batched propagation kernel (see _witness_kernel) in the sector psi0
-    occupies, and rec.zeta2_opt[i] is the witness at times[i].
+    batched propagation kernel (see _witness_kernel), and
+    rec.zeta2_opt[i] is the witness at times[i].
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -424,9 +416,9 @@ def zeta2_of_time(params: ModelParams, psi0: StateVector):
 
     Like a ufunc: a float time gives a float, an array of times an array
     of zeta^2 of the same shape, in any order.  The propagation kernel is
-    built once in the certified window of the sector psi0 occupies (for
-    an equatorial state, the even block's eigenvalues and the few
-    eigenvectors where psi0 lives; c = U^T p formed once), and
+    built once, for an equatorial state in the certified window of the
+    even block (its eigenvalues and the few eigenvectors where psi0
+    lives; c = U^T p formed once), and
     each call is one kernel call with all its times, whose record's
     zeta2_opt it returns, reshaped.  minimize_zeta2 sends its whole grid in
     one call and its refinement one time per call.

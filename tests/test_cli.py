@@ -23,6 +23,7 @@ from bjjsim.cli import (
     SEPARATRIX_COLUMNS,
     SWEEP_COLUMNS,
     WIGNER_MAX_N,
+    WIGNER_MULTIPOLE_BYTES,
     ConfigError,
     RunConfig,
     SweepConfig,
@@ -362,6 +363,25 @@ class TestParticleLimit:
         assert rc == 1
         assert "exceeds the Wigner limit" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_wigner_snapshot_count_rejected_before_the_kernel(self, tmp_path, capsys, monkeypatch):
+        # the multipoles of all snapshots are held at once; one snapshot past
+        # their byte budget is refused before any propagation
+        def refuse(*args, **kwargs):
+            raise AssertionError("the propagation kernel ran")
+
+        monkeypatch.setattr(bjjsim.cli, "_witness_kernel", refuse)
+        most = WIGNER_MULTIPOLE_BYTES // (16 * (WIGNER_MAX_N + 1) ** 2)
+        snapshots = ",".join(str(0.1 * i) for i in range(most + 1))
+        rc = main(["wigner", "--n", str(WIGNER_MAX_N), "--lambda", "2.0", "--snapshots", snapshots,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"{most + 1} snapshots exceed the limit of {most} at N = {WIGNER_MAX_N}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+        # the budget's own count passes the guard on to the kernel
+        cfg = RunConfig(params=ModelParams.coupled(WIGNER_MAX_N, 2.0), out_dir=tmp_path)
+        with pytest.raises(AssertionError, match="the propagation kernel ran"):
+            run_wigner(cfg, [0.1 * i for i in range(most)])
 
     def test_wigner_limit_admits_its_bound(self, tmp_path, no_dense_operators):
         # the guard passes N = WIGNER_MAX_N on: the kernel's even-block solve and

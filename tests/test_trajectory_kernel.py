@@ -13,12 +13,12 @@ hbar, shot noise), plus the phase error the two solves' backward errors
 accumulate over t (propagation_rtol); fitted coefficients agree to a
 bound set from the measured gap.  The even block (band_spectrum with
 even set) is checked as a spectrum of H on its own, and the kernel's
-certified window of it (or of the whole Dicke basis) as eigenpairs of a
-contiguous run of that spectrum which holds psi0 to WINDOW_TOL.  The
-kernel in the window is checked against the kernel on the full
-band_spectrum, with its eigensolves counted, its states against evolve,
-and at N = 1000 against scipy's expm_multiply; a state with an odd part,
-which the kernel propagates in the whole Dicke basis, against the dense
+certified window of it as eigenpairs of a contiguous run of that
+spectrum which holds psi0 to WINDOW_TOL, also at MAX_N.  The kernel in
+the window is checked against the kernel on the full band_spectrum,
+with its eigensolves counted, its states against evolve, and at
+N = 1000 against scipy's expm_multiply; a state with an odd part, which
+the kernel propagates on the full band_spectrum, against the dense
 reference.  The moments of the
 even block, reduced in its own coordinates, are checked against the
 Dicke reduction of the mirrored state, and the kernel's row slices
@@ -528,6 +528,16 @@ def test_equatorial_odd_part_is_far_below_the_bound(phi):
     assert 10.0 * np.linalg.norm(odd) <= exact_dynamics.EMPTY_SECTOR_NORM
 
 
+def assert_kernel_matches_dense(kernel, params, psi0):
+    # records over t = 0 ... 1 against the dense per-time reference, at propagation_rtol
+    times = np.linspace(0.0, 1.0, 11)
+    record = dense_witness_of_time(params, psi0)
+    got, want = kernel(times), stacked([record(float(t)) for t in times])
+    a, b = np.column_stack(kernel_fields(got)), np.column_stack(kernel_fields(want))
+    tol = propagation_rtol(params, times)[:, None]
+    assert np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))), (a, b)
+
+
 def parity_state(n, even_part, odd_part):
     # an equatorial coherent state (even) plus a multiple of a fixed odd vector
     even = coherent_state(n, math.pi / 2, math.pi).amplitudes
@@ -544,30 +554,27 @@ def parity_state(n, even_part, odd_part):
     (0.0, 1.0, "odd"),
 ])
 def test_occupied_sectors_are_solved_and_propagated(monkeypatch, even_part, odd_part, solved):
-    # the even block alone when the odd part is empty, else the whole H:
-    # every eigenvalue of the one sector and its window's eigenvectors;
-    # either way the records of the dense per-time reference
+    # the even block's window when the odd part is empty: every eigenvalue of
+    # the block and the window's eigenvectors; else the full solve of the
+    # whole H; either way the records of the dense per-time reference
     n = 60
     params, psi0 = ModelParams.coupled(n, 2.0), parity_state(n, even_part, odd_part)
     sizes = count_eigensolves(monkeypatch)
     kernel = _witness_kernel(params, psi0)
-    assert sizes == [("values", n // 2 + 1 if solved == "even" else n + 1), ("vectors", kernel.window)]
-    times = np.linspace(0.0, 1.0, 11)
-    record = dense_witness_of_time(params, psi0)
-    got, want = kernel(times), stacked([record(float(t)) for t in times])
-    a, b = np.column_stack(kernel_fields(got)), np.column_stack(kernel_fields(want))
-    tol = propagation_rtol(params, times)[:, None]
-    assert np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))), (a, b)
+    assert sizes == ([("values", n // 2 + 1), ("vectors", kernel.window)] if solved == "even"
+                     else [("full", n + 1)])
+    assert_kernel_matches_dense(kernel, params, psi0)
 
 
 def assert_certified_window(params, psi0):
-    """The kernel's window: eigenpairs of a contiguous run of its sector's spectrum, holding psi0 to WINDOW_TOL.
+    """The kernel's window: eigenpairs of a contiguous run of the even block's spectrum, holding psi0 to WINDOW_TOL.
 
-    Returns the window's eigenvalues, the sector's whole spectrum and the
+    Returns the window's eigenvalues, the block's whole spectrum and the
     tolerance on eigenvalues.
     """
     kernel = _witness_kernel(params, psi0)
-    even, w, u, x, certificate = exact_dynamics._sector(params, psi0)
+    x = _parity_coords(psi0.amplitudes)[0]
+    w, u, certificate = exact_dynamics._window(params, x)
     assert (kernel.window, kernel.certificate) == (w.size, certificate)
     assert certificate <= exact_dynamics.WINDOW_TOL
     assert np.linalg.norm(x - u @ (u.T @ x)) <= exact_dynamics.WINDOW_TOL * np.linalg.norm(x)
@@ -575,15 +582,13 @@ def assert_certified_window(params, psi0):
     # the bounds of test_even_spectrum_is_a_spectrum_of_h, on the window
     norm_h = max(1.0, np.abs(band_spectrum(params).eigenvalues).max())
     tol = 1e-13 * norm_h
-    sector = band_spectrum(params, even=even).eigenvalues
+    sector = band_spectrum(params, even=True).eigenvalues
     assert np.all(np.diff(w) >= 0.0)
     assert np.abs(w[:, None] - sector).min(axis=1).max() <= tol
-    # a contiguous run: no other eigenvalue of the sector lies between the
-    # window's, but for a Dicke-basis doublet partner at either edge
+    # a contiguous run: no other eigenvalue of the block lies between the window's
     inside = np.count_nonzero((sector >= w[0] - tol) & (sector <= w[-1] + tol))
-    assert w.size <= inside <= w.size + (0 if even else 2)
-    v = _from_even(u.T).T if even else u
-    assert band_residual(params, w, v) <= tol
+    assert inside == w.size
+    assert band_residual(params, w, _from_even(u.T).T) <= tol
     return w, sector, tol
 
 
@@ -626,12 +631,7 @@ def test_spread_state_takes_the_whole_block():
     assert_certified_window(params, psi0)
     kernel = _witness_kernel(params, psi0)
     assert kernel.window == n // 2 + 1
-    times = np.linspace(0.0, 1.0, 11)
-    record = dense_witness_of_time(params, psi0)
-    got, want = kernel(times), stacked([record(float(t)) for t in times])
-    a, b = np.column_stack(kernel_fields(got)), np.column_stack(kernel_fields(want))
-    tol = propagation_rtol(params, times)[:, None]
-    assert np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))), (a, b)
+    assert_kernel_matches_dense(kernel, params, psi0)
 
 
 @pytest.mark.parametrize("n, lam, theta, phi", [
@@ -640,12 +640,38 @@ def test_spread_state_takes_the_whole_block():
     (200, 5.0, 1.2, math.pi),
     (1000, 5.0, 1.2, math.pi),
 ])
-def test_dicke_basis_window_is_certified(n, lam, theta, phi):
-    # off the equator psi0 has an odd part, and its window lies in the whole
-    # Dicke basis, whose levels of m and -m pair into doublets split by as
-    # little as roundoff above the separatrix; the window keeps its bounds
-    # wherever a try's edge splits a doublet
-    assert_certified_window(ModelParams.coupled(n, lam), coherent_state(n, theta, phi))
+def test_dicke_basis_window_is_certified(monkeypatch, n, lam, theta, phi):
+    # off the equator psi0 has an odd part: the kernel takes the full
+    # (N+1)-point solve of the whole Dicke basis, every index, no window of it
+    params, psi0 = ModelParams.coupled(n, lam), coherent_state(n, theta, phi)
+    sizes = count_eigensolves(monkeypatch)
+    kernel = _witness_kernel(params, psi0)
+    assert sizes == [("full", n + 1)]
+    assert kernel.window == n + 1
+    assert kernel.certificate <= exact_dynamics.WINDOW_TOL
+
+
+def test_odd_part_takes_one_full_solve_at_large_n(monkeypatch):
+    # an odd part far below any check's reach still leaves the even block:
+    # one (N+1)-point solve, no inverse iteration, the dense reference's records
+    n = 1000
+    params, psi0 = ModelParams.coupled(n, 2.0), parity_state(n, 1.0, 1e-9)
+    sizes = count_eigensolves(monkeypatch)
+    kernel = _witness_kernel(params, psi0)
+    assert sizes == [("full", n + 1)]
+    assert_kernel_matches_dense(kernel, params, psi0)
+
+
+@pytest.mark.parametrize("lam", [0.2, 2.0, 10.0])
+@pytest.mark.parametrize("phi", [math.pi, 0.0])
+def test_window_stays_short_at_max_n(phi, lam):
+    # coherent_state's roundoff sets a floor of about 6.9e-13 under the
+    # certificate at MAX_N, 1.45x below WINDOW_TOL; as that margin shrinks
+    # the window grows towards all N/2+1 indices, which fails here
+    params, psi0 = ModelParams.coupled(MAX_N, lam), coherent_state(MAX_N, math.pi / 2, phi)
+    kernel = _witness_kernel(params, psi0)
+    assert kernel.certificate <= exact_dynamics.WINDOW_TOL
+    assert kernel.window <= 300
 
 
 @pytest.mark.parametrize("routine", ["dsterf", "dstein"])
