@@ -1,6 +1,6 @@
 """Entanglement generation in a two-mode bosonic Josephson junction.
 
-Exact spectral dynamics of chi*Jz^2 - omega*Jx, analytic Gaussian
+Exact spectral dynamics of chi*Jz^2 - omega*Jx, closed-form Gaussian
 phase-model solutions, spin-squeezing and QFI entanglement witnesses,
 the one-axis-twisting benchmark, and Wigner-function visualization data.
 """
@@ -23,29 +23,13 @@ from .witnesses import (
     WitnessRecord,
     fit_taylor_coeffs,
     make_record,
-    ratio_R,
     taylor_zeta2,
     xi2_opt,
     zeta2_min,
     zeta2_opt,
 )
-from .oat import oat_covariance, oat_jx, oat_lambda_pm, oat_trajectory
-from .phase_model import (
-    PacketMoments,
-    GaussianPacket,
-    bargmann_overlap,
-    cov_stable_pi,
-    cov_unstable_pi,
-    cov_zero,
-    gaussian_expectations,
-    normalization,
-    omega_pi_squared,
-    omega_zero_squared,
-    packet_params_pi,
-    packet_params_zero,
-    potential,
-    spin_phase_operators_check,
-)
+from .oat import oat_covariance, oat_jx, oat_trajectory
+from .phase_model import cov_stable_pi, cov_unstable_pi, cov_zero, omega_pi_squared
 from .wigner import SeparatrixCurve, SphereGrid, density_multipoles, separatrix, wigner
 
 __version__ = "0.1.0"
@@ -53,8 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CollectiveOperator",
     "CovarianceYZ",
-    "PacketMoments",
-    "GaussianPacket",
     "ModelParams",
     "SeparatrixCurve",
     "Spectrum",
@@ -63,7 +45,6 @@ __all__ = [
     "TaylorCoeffs",
     "TaylorFit",
     "WitnessRecord",
-    "bargmann_overlap",
     "build_spin_operators",
     "coherent_state",
     "cov_stable_pi",
@@ -75,23 +56,14 @@ __all__ = [
     "evolve",
     "expectation",
     "fit_taylor_coeffs",
-    "gaussian_expectations",
     "hamiltonian",
     "lambda_pm",
     "make_record",
-    "normalization",
     "oat_covariance",
     "oat_jx",
-    "oat_lambda_pm",
     "oat_trajectory",
     "omega_pi_squared",
-    "omega_zero_squared",
-    "packet_params_pi",
-    "packet_params_zero",
-    "potential",
-    "ratio_R",
     "separatrix",
-    "spin_phase_operators_check",
     "taylor_zeta2",
     "trajectory",
     "wigner",

@@ -256,8 +256,9 @@ def _sweep_row(args) -> list:
         else:  # between the pi branches (rate omega) the first minimum sits near omega t = N^(1/3)
             t_hi = (1.5 if regime == "unstable_pi" else 1.5 * n ** (1.0 / 3.0)) / rate
         t_min, z_min = minimize_zeta2(zeta2_of_time(params, psi0), t_hi, tol=1e-4 / rate)
-        # no closed-form minimum on the unstable branch or between the branches
-        z_ana = zeta2_min(regime, lam, n) if oscillates else math.nan
+        # no closed-form minimum on the unstable branch or between the branches; at
+        # the simulated lam, where its regime was decided
+        z_ana = zeta2_min(regime, params.lam, n) if oscillates else math.nan
 
         series = taylor_zeta2(state, lam)
         ana = series.in_omega_time(lam)

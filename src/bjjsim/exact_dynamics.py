@@ -101,15 +101,13 @@ class Spectrum:
 
     Of the whole H in the Dicke basis (band_spectrum: the short-time fit
     samples and the states with an odd part, through the propagation
-    kernel _witness_kernel, and the tests' dense references), or of its
-    even block under m -> -m in that block's coordinates (band_spectrum
-    with even set, which only the tests call); dim is the size of the
-    matrix solved.  Every other run path propagates in a certified window
-    of the even block instead (_window), which holds only some of the
-    eigenvectors and is no Spectrum.  The fit keeps the full solve: the
-    window and the even block agree with it to roundoff, but the fit
-    amplifies that roundoff in p4 beyond the tolerance its stored outputs
-    are checked at.
+    kernel _witness_kernel, and the tests' dense references); dim is the
+    size of the matrix solved.  Every other run path propagates in a
+    certified window of H's even block under m -> -m instead (_window),
+    which holds only some of the eigenvectors and is no Spectrum.  The
+    fit keeps the full solve: the window and the even block agree with it
+    to roundoff, but the fit amplifies that roundoff in p4 beyond the
+    tolerance its stored outputs are checked at.
     """
 
     n_particles: int
@@ -167,10 +165,10 @@ def eigendecompose(op: CollectiveOperator) -> Spectrum:
     return _spectrum(op.n_particles, mat.diagonal().real.copy(), mat.diagonal(1).real.copy())
 
 
-def band_spectrum(params: ModelParams, even: bool = False) -> Spectrum:
+def band_spectrum(params: ModelParams) -> Spectrum:
     """Spectrum of H from its bands, without the dense matrix.
 
-    Without even, one (N+1)-point solve, bit for bit equal to
+    One (N+1)-point solve, bit for bit equal to
     eigendecompose(hamiltonian(params)).  The samples of the short-time
     fit use it (the kernel, fed this spectrum by cli._protocol_fit), and
     so does the kernel for a state with an odd part; no command starts
@@ -179,19 +177,8 @@ def band_spectrum(params: ModelParams, even: bool = False) -> Spectrum:
     spectrum; the even block would move it by up to 6.1e-8 relative at
     N = 200, 3.5e-8 at N = 1000 and 9.1e-8 at N = 4000, past the 1e-8 at
     which stored fit outputs are compared.
-
-    With even set, the block of H that is even under the mode exchange
-    m -> -m.  No run path calls it: they propagate in a certified window
-    of that block (_window), and it stays as the tests' full even-block
-    reference.  H commutes with m -> -m, so in the basis |0>,
-    (|m> + |-m>)/sqrt(2), m = 1 ... N/2, its even part is a tridiagonal
-    block of size N/2+1 (spin_core.ladder).  The spectrum is in the
-    block's own coordinates (spin_core._parity_coords);
-    spin_core._from_even maps its columns back to the Dicke basis, each
-    exactly even in m.  Its eigenvalues are those of the whole H with
-    even eigenvectors, to roundoff.
     """
-    return _spectrum(params.n_particles, *hamiltonian_bands(params, even))
+    return _spectrum(params.n_particles, *hamiltonian_bands(params))
 
 
 def _eigenvalues(n_particles: int, diag: np.ndarray, off: np.ndarray):

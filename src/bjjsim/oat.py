@@ -35,16 +35,6 @@ def _ab(n_particles: int, chi: float, t):
     return a, b
 
 
-def oat_lambda_pm(n_particles: int, chi: float, t):
-    """Covariance eigenvalues lambda_pm = 1 + (N-1)/4 [A pm sqrt(A^2+B^2)]."""
-    if n_particles < 2:
-        raise ValueError("need at least two particles")
-    a, b = _ab(n_particles, chi, t)
-    r = np.hypot(a, b)
-    q = (n_particles - 1) / 4.0
-    return 1.0 + q * (a + r), 1.0 + q * (a - r)
-
-
 def oat_covariance(n_particles: int, chi: float, t) -> CovarianceYZ:
     """Closed-form y-z covariance, elementwise in t; gzz = 1.0 at every time (Jz is conserved)."""
     a, b = _ab(n_particles, chi, t)

@@ -52,13 +52,6 @@ class SphereGrid:
         """Values rescaled so the global maximum is 1 (plotting convention)."""
         return self.values / self.values.max()
 
-    def solid_angle_integral(self) -> float:
-        """Trapezoid quadrature of W over the sphere; 1 up to grid resolution."""
-        ph = np.append(self.phi_samples, self.phi_samples[0] + 2.0 * np.pi)
-        val = np.concatenate([self.values, self.values[:, :1]], axis=1)
-        inner = np.trapezoid(val, ph, axis=1)
-        return float(np.trapezoid(inner * np.sin(self.theta_samples), self.theta_samples))
-
 
 @dataclass(frozen=True)
 class SeparatrixCurve:
@@ -80,10 +73,6 @@ class SeparatrixCurve:
         z.setflags(write=False)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "z", z)
-
-    @property
-    def z_max(self) -> float:
-        return float(self.z.max())
 
 
 def mean_field_energy(z, phi, lam: float):

@@ -2,9 +2,9 @@
 
 Both witnesses are optimized over the y-z plane via the covariance
 eigenvalues.  Also provides the short-time power-series coefficients of the
-QFI witness for the three dynamical models, the third-order ratio between
-the coupled and twisting-only models, and polynomial-fit extraction of those
-coefficients from numerical trajectories.
+QFI witness for the three dynamical models, whose p3 over the twisting p3
+is the third-order ratio between the coupled and twisting-only models, and
+polynomial-fit extraction of those coefficients from numerical trajectories.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ class TaylorCoeffs:
     p2: float
     p3: float
     p4: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.p1, self.p2, self.p3, self.p4)
 
     def in_omega_time(self, lam: float) -> "TaylorCoeffs":
         """Rescale to powers of (omega t) using N chi = lam * omega."""
@@ -129,11 +126,6 @@ def taylor_zeta2(model: str, lam: float | None = None) -> TaylorCoeffs:
     s = math.inf if model == "oat" else phase_model._signed_coupling(model, lam)
     g = 1.0 / s - 1.0 / s**2  # a^2 as 1/s^2: a * a rounds differently
     return TaylorCoeffs(-1.0, 0.5, -0.125 - g / 6.0, g / 6.0)
-
-
-def ratio_R(lam: float) -> float:
-    """Third-order coefficient ratio between the coupled (pi) and twisting models."""
-    return taylor_zeta2("pi", lam).p3 / taylor_zeta2("oat").p3
 
 
 def zeta2_min(regime: str, lam: float, n_particles: int) -> float:

@@ -40,7 +40,7 @@ from bjjsim.cli import (
 from bjjsim.exact_dynamics import zeta2_of_time
 from bjjsim.spin_core import ModelParams, coherent_state
 from bjjsim.wigner import separatrix
-from bjjsim.witnesses import taylor_zeta2
+from bjjsim.witnesses import taylor_zeta2, zeta2_min
 
 
 def read_csv(path):
@@ -212,6 +212,18 @@ class TestSweep:
         first = 1 + np.flatnonzero((z[1:-1] < z[:-2]) & (z[1:-1] <= z[2:]))[0]
         assert abs(float(row["t_at_min"]) - ts[first]) <= ts[1] - ts[0]
         assert float(row["zeta2_min_numeric"]) <= z[first]
+
+    @pytest.mark.parametrize("n, lam", [(40, 0.9756097560975611), (78, 0.9873417721518988)])
+    def test_row_at_the_stable_edge_takes_the_simulated_lam(self, tmp_path, n, lam):
+        # the grid lam is outside stable_pi by an ulp, the simulated N * (lam/N)
+        # inside it: the row's regime and its closed-form minimum are both the
+        # simulated lam's
+        assert main(["sweep", "--n", str(n), "--lambda-grid", repr(lam), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "sweep.csv")
+        row = dict(zip(header, rows[0]))
+        assert row["status"] == "ok"
+        simulated = ModelParams.coupled(n, lam).lam
+        assert float(row["zeta2_min_analytic"]) == zeta2_min("stable_pi", simulated, n)
 
     @pytest.mark.parametrize("state", ["pi", "zero"])
     @pytest.mark.parametrize("lam", [0.4, 1.5, 2.3])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bjjsim.exact_dynamics import eigendecompose, evolve, hamiltonian
-from bjjsim.oat import oat_covariance, oat_jx, oat_lambda_pm, oat_trajectory
+from bjjsim.oat import oat_covariance, oat_jx, oat_trajectory
 from bjjsim.spin_core import (
     ModelParams,
     build_spin_operators,
@@ -21,6 +21,7 @@ from bjjsim.spin_core import (
 )
 from bjjsim.witnesses import FIT_SAMPLES, FIT_WINDOW, fit_taylor_coeffs, fit_times
 from bjjsim.exact_dynamics import trajectory
+from library_reference import oat_lambda_pm
 
 
 def exact_oat(n, chi):

@@ -11,10 +11,11 @@ propagate with different eigensolves, so records agree to a tolerance
 fixed from the dtype, 1e-12 relative with a floor of 1 (natural units:
 hbar, shot noise), plus the phase error the two solves' backward errors
 accumulate over t (propagation_rtol); fitted coefficients agree to a
-bound set from the measured gap.  The even block (band_spectrum with
-even set) is checked as a spectrum of H on its own, and the kernel's
-certified window of it as eigenpairs of a contiguous run of that
-spectrum which holds psi0 to WINDOW_TOL, also at MAX_N.  The kernel in
+bound set from the measured gap.  The full even block
+(library_reference.even_block_spectrum) is checked as a spectrum of H
+on its own, and the kernel's certified window of it as eigenpairs of a
+contiguous run of that spectrum which holds psi0 to WINDOW_TOL, also at
+MAX_N.  The kernel in
 the window is checked against the kernel on the full band_spectrum,
 with its eigensolves counted, its states against evolve, and at
 N = 1000 against scipy's expm_multiply; a state with an odd part, which
@@ -29,6 +30,7 @@ import csv
 import math
 import re
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -73,6 +75,7 @@ from bjjsim.spin_core import (
     expectation,
 )
 from bjjsim.witnesses import WitnessRecord, fit_taylor_coeffs, fit_times, make_record, minimize_zeta2
+from library_reference import even_block_spectrum
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -143,7 +146,7 @@ def propagation_rtol(params, t):
     lam = 2.94, pi state, t = 10.8).  The 1e-12 covers the different
     summation orders, the whole gap at t = 0.
     """
-    band, even = band_spectrum(params), band_spectrum(params, even=True)
+    band, even = band_spectrum(params), even_block_spectrum(params)
     rho = (band_residual(params, band.eigenvalues, band.eigenvectors)
            + band_residual(params, even.eigenvalues, even_vectors(even)))
     return 1e-12 + 4.0 * np.asarray(t, dtype=float) * rho
@@ -203,8 +206,8 @@ def test_fit_on_kernel_matches_dense_fit(model, lam):
     psi0 = coherent_state(n, math.pi / 2, phi)
     record = dense_witness_of_time(params, psi0)
     records = stacked([record(float(t)) for t in fit_times(n, params.chi)])
-    want = np.array(fit_taylor_coeffs(records, n, params.chi).coeffs.as_tuple())
-    got = np.array(_protocol_fit(params, psi0).coeffs.as_tuple())
+    want = np.array(astuple(fit_taylor_coeffs(records, n, params.chi).coeffs))
+    got = np.array(astuple(_protocol_fit(params, psi0).coeffs))
     assert np.all(np.abs(got - want) <= 2e-9 * np.maximum(1.0, np.abs(want))), (got, want)
 
 
@@ -311,7 +314,7 @@ def test_band_spectrum_is_bitwise_dense_spectrum(n, lam):
 def test_even_spectrum_is_a_spectrum_of_h(n, lam):
     # the twisting limit (lam = 0) has degenerate +-m levels
     params = ModelParams.twisting(n) if lam == 0.0 else ModelParams.coupled(n, lam)
-    even = band_spectrum(params, even=True)
+    even = even_block_spectrum(params)
     assert even.dim == n // 2 + 1
     assert np.all(np.diff(even.eigenvalues) >= 0.0)
     u = even.eigenvectors
@@ -582,7 +585,7 @@ def assert_certified_window(params, psi0):
     # the bounds of test_even_spectrum_is_a_spectrum_of_h, on the window
     norm_h = max(1.0, np.abs(band_spectrum(params).eigenvalues).max())
     tol = 1e-13 * norm_h
-    sector = band_spectrum(params, even=True).eigenvalues
+    sector = even_block_spectrum(params).eigenvalues
     assert np.all(np.diff(w) >= 0.0)
     assert np.abs(w[:, None] - sector).min(axis=1).max() <= tol
     # a contiguous run: no other eigenvalue of the block lies between the window's
