@@ -251,10 +251,15 @@ def _sweep_row(args) -> list:
         # the regime of the simulated lam, which can differ from the grid lam in the last bit
         regime, rate = cfg.regime, dimensionless_frequency(cfg)
         oscillates = regime in ("zero", "stable_pi")
-        if oscillates:  # cover the first witness minimum near 2 w t = pi
-            t_hi = 1.25 * math.pi / rate
-        else:  # between the pi branches (rate omega) the first minimum sits near omega t = N^(1/3)
-            t_hi = (1.5 if regime == "unstable_pi" else 1.5 * n ** (1.0 / 3.0)) / rate
+        # w t up to 1.25 pi where the well confines, past the first minimum near 2 w t = pi;
+        # |omega_pi| t up to 1.5 on the unstable branch
+        t_hi = (1.5 if regime == "unstable_pi" else 1.25 * math.pi) / rate
+        window = 1.5 * n ** (1.0 / 3.0) / params.omega
+        if regime is None or (regime == "stable_pi" and t_hi > window):
+            # between the pi branches the first minimum sits near omega t = N^(1/3); a stable
+            # pi row takes the same search when its slow w (near N/(N+1), or at small N) would
+            # stretch the one above over several oscillations, whose later minima are deeper
+            t_hi, rate = window, params.omega
         t_min, z_min = minimize_zeta2(zeta2_of_time(params, psi0), t_hi, tol=1e-4 / rate)
         # no closed-form minimum on the unstable branch or between the branches; at
         # the simulated lam, where its regime was decided
@@ -268,9 +273,7 @@ def _sweep_row(args) -> list:
                 fit_omega.p2, fit_omega.p3, fit_omega.p4, ana.p2, ana.p3, ana.p4,
                 r_num, series.p3 / taylor_zeta2("oat").p3, "ok"]
     except Exception as exc:  # error rows keep the sweep going
-        nan = math.nan
-        return [lam, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
-                f"error: {exc}"]
+        return [lam, *[math.nan] * (len(SWEEP_COLUMNS) - 2), f"error: {exc}"]
 
 
 def run_sweep(cfg: SweepConfig) -> list[Path]:

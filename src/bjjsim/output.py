@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from contextlib import contextmanager
 from itertools import chain, islice
@@ -15,14 +14,6 @@ import numpy as np
 
 SCHEMA_VERSION = 1
 BLOCK_ROWS = 4096  # rows formatted per string operation in write_csv and write_json
-
-
-def format_float(x) -> str:
-    """17 significant digits: enough to round-trip any double."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
 
 
 class GridRows(NamedTuple):
@@ -83,7 +74,7 @@ def _write_rows(fh, schema_name: str, ncol: int, rows) -> None:
             fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
         except TypeError:  # a string field: format row by row
             writer.writerows(
-                [c if isinstance(c, str) else format_float(c) for c in row] for row in block
+                [c if isinstance(c, str) else "%.17g" % c for c in row] for row in block
             )
 
 
@@ -145,11 +136,12 @@ def _atomic_write(path: Path):
 def write_csv(path: Path, schema_name: str, columns, rows) -> Path:
     """Write rows atomically; the header comment line carries the schema tag.
 
-    Numeric fields are written as format_float writes them ('%.17g' gives the
-    same bytes), a block of rows per string operation.  Blocks holding a
-    string fall back to the csv module, which quotes fields containing a
-    comma, a quote or a line break (QUOTE_MINIMAL).  A GridRows table gives
-    the same bytes as its expanded rows.
+    Numeric fields are written with '%.17g' (17 significant digits, enough
+    to round-trip any double), a block of rows per string operation.
+    Blocks holding a string go through the csv module, numbers still as
+    '%.17g'; it quotes fields containing a comma, a quote or a line break
+    (QUOTE_MINIMAL).  A GridRows table gives the same bytes as its
+    expanded rows.
     """
     path = Path(path)
     ncol = len(columns)

@@ -37,31 +37,21 @@ def _validate_even_n(n_particles) -> int:
     return n
 
 
-def m_values(n_particles: int) -> np.ndarray:
-    """Imbalance quantum numbers m = -N/2 ... +N/2, ascending."""
-    j = n_particles / 2.0
-    return np.arange(-j, j + 1.0)
-
-
-def raising_coefficients(n_particles: int) -> np.ndarray:
-    """Ladder factors <m+1|J+|m> = sqrt(j(j+1) - m(m+1)) for m = -j ... j-1."""
-    j = n_particles / 2.0
-    m = np.arange(-j, j)
-    return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
-
-
 def ladder(n_particles: int, even: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Jz diagonal m and ladder factors f of the Dicke basis, or of its even block.
 
-    The Dicke basis: m_values and raising_coefficients.  With even set, the
-    block of the mode exchange m -> -m spanned by |0> and
+    The Dicke basis: m = -j ... +j ascending, j = N/2, and the factors
+    f_i = <m_i+1|J+|m_i> = sqrt(j(j+1) - m_i(m_i+1)) for i = 0 ... N-1.
+    With even set, the block of the mode exchange m -> -m spanned by |0> and
     (|i> + |-i>)/sqrt(2), i = 1 ... N/2 (the coordinates of
     _parity_coords): the diagonal i = 0 ... N/2 and the factors f_{N/2+i},
     the first scaled by sqrt(2), since |0> couples to both |1> and |-1>.
     Every tridiagonal operator of either basis is built from these bands.
     """
     n = _validate_even_n(n_particles)
-    m, f = m_values(n), raising_coefficients(n)
+    j = n / 2.0
+    m = np.arange(-j, j + 1.0)
+    f = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
     if even:
         m, f = m[n // 2 :], f[n // 2 :]
         f[0] *= _SQRT2
@@ -225,12 +215,11 @@ def build_spin_operators(n_particles: int) -> tuple[CollectiveOperator, Collecti
     """Return (Jx, Jy, Jz) for N particles.
 
     Jz is diagonal with entries m; Jx and Jy are the tridiagonal ladder
-    combinations (J+ +- J-)/2, (J+ - J-)/2i with
-    <m+1|J+|m> = sqrt(j(j+1) - m(m+1)), j = N/2.
+    combinations (J+ + J-)/2, (J+ - J-)/2i, both from the bands of ladder.
     """
     n = _validate_even_n(n_particles)
     dim = n + 1
-    f = raising_coefficients(n)
+    m, f = ladder(n)
     lower = np.arange(1, dim), np.arange(dim - 1)
     upper = np.arange(dim - 1), np.arange(1, dim)
 
@@ -242,7 +231,7 @@ def build_spin_operators(n_particles: int) -> tuple[CollectiveOperator, Collecti
     jy[lower] = -0.5j * f
     jy[upper] = 0.5j * f
 
-    jz = np.diag(m_values(n).astype(complex))
+    jz = np.diag(m.astype(complex))
 
     return CollectiveOperator(n, jx), CollectiveOperator(n, jy), CollectiveOperator(n, jz)
 
@@ -260,7 +249,7 @@ def coherent_state(n_particles: int, theta: float, phi: float) -> StateVector:
     if not -np.pi <= phi <= np.pi:
         raise ValueError(f"phi must lie in [-pi, pi], got {phi}")
 
-    m = m_values(n)
+    m, _ = ladder(n)
     ka = n / 2.0 + m  # mode-a occupation
     kb = n / 2.0 - m
     log_binom = 0.5 * (gammaln(n + 1.0) - gammaln(ka + 1.0) - gammaln(kb + 1.0))

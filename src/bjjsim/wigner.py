@@ -15,12 +15,11 @@ import numpy as np
 import scipy.linalg
 from scipy.special import sph_legendre_p_all
 
-from .spin_core import StateVector, _validate_even_n, raising_coefficients
+from .spin_core import StateVector, _validate_even_n, ladder
 
 TENSOR_NORM_TOL = 1e-6
 IMAG_RESIDUE_TOL = 1e-8
 ENERGY_TOL = 1e-8
-ROOT_RESIDUAL_TOL = 1e-9
 TABLE_DOUBLES = 1 << 17  # Legendre-table chunk bound: 1 MiB
 
 
@@ -100,7 +99,7 @@ def _multipole_pass(n_particles: int, re: np.ndarray, im: np.ndarray) -> np.ndar
     n = _validate_even_n(n_particles)
     dim = n + 1
     # g[i + 1] = <m_i+1|J+|m_i>, zero outside i = 0 ... N-1
-    g = np.concatenate([[0.0], raising_coefficients(n), [0.0]])
+    g = np.concatenate([[0.0], ladder(n)[1], [0.0]])
     g2 = g * g
     rho = np.zeros(re.shape[:-1] + (dim, dim), dtype=complex)
     upper = None  # block q+1, signs fixed
@@ -215,26 +214,6 @@ def wigner(psi: StateVector) -> SphereGrid:
     return _sphere_grid(_multipole_pass(psi.n_particles, re, im), re, im)
 
 
-def _separatrix_z(phi: np.ndarray, lam: float) -> np.ndarray:
-    """Smallest level-set root z >= 0 at each phi, NaN where there is none."""
-    c = np.cos(phi)
-    disc = c * c * ((lam - 1.0) ** 2 - np.sin(phi) ** 2)
-    # negative disc clamps to a double root; where no real root exists,
-    # the energy filter below rejects that candidate
-    root = np.sqrt(np.where(disc < 0.0, 0.0, disc))
-    base = 2.0 / lam**2
-    z = np.full(phi.shape, np.nan)
-    for u in (base * ((lam - c * c) - root), base * ((lam - c * c) + root)):
-        zu = np.sqrt(np.clip(u, 0.0, 1.0))
-        valid = (
-            (u >= -1e-12)
-            & (u <= 1.0 + 1e-12)
-            & (np.abs(mean_field_energy(zu, phi, lam) - 1.0) <= ROOT_RESIDUAL_TOL)
-        )
-        z = np.fmin(z, np.where(valid, zu, np.nan))
-    return z
-
-
 def separatrix(lam: float, n_points: int = 721) -> SeparatrixCurve:
     """Separatrix through (pi, 0), uniformly sampled in phi over its domain.
 
@@ -242,6 +221,12 @@ def separatrix(lam: float, n_points: int = 721) -> SeparatrixCurve:
     for 1 < lam < 2 it exists only beyond the tangency angle where
     cos^2(phi) = lam (2 - lam).  Only the branch through the fixed point is
     returned (z >= 0 here; the mirror is -z).
+
+    With c = cos(phi), squaring the level set E = 1 gives a quadratic in
+    u = z^2 with roots (2/lam^2) ((lam - c^2) -+ sqrt(disc)), disc =
+    c^2 ((lam - 1)^2 - sin^2(phi)).  One of them solves only the squared
+    equation; the curve is the root whose sqrt(disc) carries the sign of c:
+    the smaller where c < 0, the larger where c > 0.
     """
     if lam <= 1.0:
         raise ValueError(f"no separatrix through (pi, 0) for lam <= 1, got {lam}")
@@ -255,9 +240,11 @@ def separatrix(lam: float, n_points: int = 721) -> SeparatrixCurve:
         phi_lo = 0.0
 
     phi_pos = np.linspace(phi_lo, np.pi, n_points)
-    z_pos = _separatrix_z(phi_pos, lam)
-    keep = ~np.isnan(z_pos)
-    phi_pos, z_pos = phi_pos[keep], z_pos[keep]
+    c = np.cos(phi_pos)
+    disc = c * c * ((lam - 1.0) ** 2 - np.sin(phi_pos) ** 2)
+    # a negative disc (roundoff at the tangency) clamps to the double root
+    u = (2.0 / lam**2) * ((lam - c * c) + np.sign(c) * np.sqrt(np.maximum(disc, 0.0)))
+    z_pos = np.sqrt(np.clip(u, 0.0, 1.0))
     z_pos[-1] = 0.0  # the defining fixed point (pi, 0), exact
 
     # mirror into negative phi; drop the duplicate at phi = 0 when present

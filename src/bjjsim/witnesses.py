@@ -24,6 +24,8 @@ FIT_DEGREE = 6
 FIT_WINDOW = 0.2
 FIT_SAMPLES = 64
 CONDITION_LIMIT = 1e12
+#: Times in minimize_zeta2's coarse scan, equally spaced over (0, t_hi].
+GRID_POINTS = 600
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -217,20 +219,18 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-4) -> tuple[floa
     return t, min(fc, fd)
 
 
-def minimize_zeta2(zeta2, t_hi: float, n_grid: int = 600, tol: float = 1e-4) -> tuple[float, float]:
+def minimize_zeta2(zeta2, t_hi: float, tol: float = 1e-4) -> tuple[float, float]:
     """Coarse grid scan followed by golden-section refinement of min zeta^2.
 
     zeta2 must work elementwise, as the callable of zeta2_of_time does:
-    the n_grid times in (0, t_hi] go to it as one array in one call,
+    the GRID_POINTS times in (0, t_hi] go to it as one array in one call,
     zeta2(ts), and it returns their values.  The golden-section refinement
     around the best grid point then calls it with one float at a time,
-    about log(2 t_hi / (n_grid tol)) / log(1.618) times.
+    about log(2 t_hi / (GRID_POINTS tol)) / log(1.618) times.
     """
     _check_positive("t_hi", t_hi)
     _check_positive("tol", tol)
-    if n_grid < 1:
-        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
-    ts = np.linspace(0.0, t_hi, n_grid + 1)[1:]
+    ts = np.linspace(0.0, t_hi, GRID_POINTS + 1)[1:]
     vals = np.asarray(zeta2(ts), dtype=float)
     i = int(np.argmin(vals))
     lo = ts[i - 1] if i > 0 else ts[0] / 2.0

@@ -225,6 +225,21 @@ class TestSweep:
         simulated = ModelParams.coupled(n, lam).lam
         assert float(row["zeta2_min_analytic"]) == zeta2_min("stable_pi", simulated, n)
 
+    @pytest.mark.parametrize("n, lam", [
+        (6, 0.8), (20, 0.95), (40, 0.95), (40, 0.9756097560975611), (200, 0.995)])
+    def test_stable_row_near_the_edge_finds_the_first_minimum(self, n, lam):
+        # slow w_pi: 1.25 pi / w spans several oscillations, whose later minima
+        # are deeper; the row searches (0, 1.5 N^(1/3)] as between the branches
+        row = dict(zip(SWEEP_COLUMNS, _sweep_row((lam, n, "pi", 1.0))))
+        assert row["status"] == "ok"
+        zeta2 = zeta2_of_time(ModelParams.coupled(n, lam), coherent_state(n, math.pi / 2, math.pi))
+        t_hi = 1.5 * n ** (1.0 / 3.0)
+        ts = np.linspace(0.0, t_hi, int(t_hi / 2.5e-4) + 1)[1:]
+        z = zeta2(ts)
+        first = 1 + np.flatnonzero((z[1:-1] < z[:-2]) & (z[1:-1] <= z[2:]))[0]
+        assert abs(row["t_at_min"] - ts[first]) <= 1e-3
+        assert abs(row["zeta2_min_numeric"] - z[first]) <= 1e-6
+
     @pytest.mark.parametrize("state", ["pi", "zero"])
     @pytest.mark.parametrize("lam", [0.4, 1.5, 2.3])
     def test_rows_outside_the_window_keep_their_search(self, monkeypatch, state, lam):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bjjsim.output
-from bjjsim.output import BLOCK_ROWS, SCHEMA_VERSION, GridRows, format_float, write_csv, write_table
+from bjjsim.output import BLOCK_ROWS, SCHEMA_VERSION, GridRows, write_csv, write_table
 
 EDGE = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.8e308, 1.7976931348623157e308, 1 / 3]
 
@@ -18,7 +18,7 @@ def data_lines(path):
 
 
 def per_field(rows):
-    return [",".join(format_float(x) for x in row) for row in rows]
+    return [",".join(format(float(x), ".17g") for x in row) for row in rows]
 
 
 def test_block_writer_matches_format_float_on_edge_values(tmp_path):

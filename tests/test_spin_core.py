@@ -15,8 +15,8 @@ from bjjsim.spin_core import (
     coherent_state,
     covariance_yz,
     expectation,
+    ladder,
     lambda_pm,
-    m_values,
 )
 from bjjsim.exact_dynamics import eigendecompose, evolve, hamiltonian
 from bjjsim.phase_model import omega_pi_squared
@@ -234,5 +234,5 @@ class TestLambdaPm:
 
 
 def test_m_values_ascending():
-    m = m_values(6)
+    m = ladder(6)[0]
     assert np.allclose(m, [-3, -2, -1, 0, 1, 2, 3])

@@ -12,10 +12,8 @@ from bjjsim.exact_dynamics import _witness_kernel, eigendecompose, evolve, hamil
 from bjjsim.spin_core import ModelParams, StateVector, coherent_state
 from bjjsim.phase_model import omega_pi_squared
 from bjjsim.wigner import (
-    ROOT_RESIDUAL_TOL,
     SeparatrixCurve,
     _multipole_pass,
-    _separatrix_z,
     density_multipoles,
     mean_field_energy,
     separatrix,
@@ -232,7 +230,7 @@ def loop_separatrix_z(phi, lam):
     for u in (base * ((lam - c * c) - np.sqrt(disc)), base * ((lam - c * c) + np.sqrt(disc))):
         if -1e-12 <= u <= 1.0 + 1e-12:
             z = np.sqrt(min(max(u, 0.0), 1.0))
-            if abs(mean_field_energy(z, phi, lam) - 1.0) <= ROOT_RESIDUAL_TOL:
+            if abs(mean_field_energy(z, phi, lam) - 1.0) <= 1e-9:
                 valid.append(z)
     return min(valid) if valid else None
 
@@ -256,23 +254,6 @@ class TestSeparatrix:
         assert curve.phi.shape == phi.shape
         assert np.array_equal(curve.phi.view(np.int64), phi.view(np.int64))
         assert np.abs(curve.z - z).max() <= 2.3e-16
-
-    def test_energy_filter_alone_rejects_what_the_discriminant_cut_rejects(self):
-        # loop_separatrix_z drops a point whose discriminant is below -1e-12;
-        # _separatrix_z has no such cut.  Over the whole circle, outside the
-        # separatrix's domain too, the root-energy filter rejects exactly the
-        # points the cut rejects, for a dense set of lam
-        phi = np.linspace(-np.pi, np.pi, 721)
-        cut = 0
-        for lam in np.linspace(1.0, 10.0, 91)[1:]:
-            want = [loop_separatrix_z(float(p), lam) for p in phi]
-            got = _separatrix_z(phi, lam)
-            assert np.array_equal(np.isnan(got), [z is None for z in want])
-            found = ~np.isnan(got)
-            assert np.abs(got[found] - [z for z in want if z is not None]).max() <= 2.3e-16
-            cos = np.cos(phi)
-            cut += np.count_nonzero(cos * cos * ((lam - 1.0) ** 2 - np.sin(phi) ** 2) < -1e-12)
-        assert cut > 1000  # points the cut would have had to decide on
 
     def test_passes_through_fixed_point_exactly(self):
         for lam in [1.3, 2.0, 3.5]:

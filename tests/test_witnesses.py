@@ -10,6 +10,7 @@ from bjjsim.spin_core import CovarianceYZ, ModelParams, coherent_state
 from bjjsim.witnesses import (
     FIT_SAMPLES,
     FIT_WINDOW,
+    GRID_POINTS,
     TaylorCoeffs,
     WitnessRecord,
     fit_taylor_coeffs,
@@ -248,7 +249,7 @@ class TestMinimizers:
         assert f == pytest.approx(0.2, abs=1e-12)
 
     def test_minimize_zeta2_on_smooth_function(self):
-        t, f = minimize_zeta2(lambda x: np.cos(x) + 1.5, 6.0, n_grid=100, tol=1e-6)
+        t, f = minimize_zeta2(lambda x: np.cos(x) + 1.5, 6.0, tol=1e-6)
         assert t == pytest.approx(np.pi, abs=1e-4)
         assert f == pytest.approx(0.5, abs=1e-8)
 
@@ -287,7 +288,6 @@ class TestMinimizers:
         ({"t_hi": -1.0}, "t_hi must be positive and finite"),
         ({"t_hi": 6.0, "tol": 0.0}, "tol must be positive and finite"),
         ({"t_hi": 6.0, "tol": float("nan")}, "tol must be positive and finite"),
-        ({"t_hi": 6.0, "n_grid": 0}, "n_grid must be at least 1"),
     ])
     def test_minimize_zeta2_rejects_bad_input_before_evaluating(self, kwargs, message):
         def never(ts):
@@ -303,10 +303,23 @@ class TestMinimizers:
             calls.append(np.shape(ts))
             return np.cos(ts) + 1.5
 
-        t, _ = minimize_zeta2(f, 6.0, n_grid=100, tol=1e-6)
+        t, _ = minimize_zeta2(f, 6.0, tol=1e-6)
         assert t == pytest.approx(np.pi, abs=1e-4)
-        assert calls[0] == (100,) and set(calls[1:]) == {()}
+        assert calls[0] == (GRID_POINTS,) and set(calls[1:]) == {()}
 
-    def test_minimize_zeta2_single_grid_point(self):
-        t, f = minimize_zeta2(lambda x: (x - 2.0) ** 2, 3.0, n_grid=1, tol=1e-8)
-        assert t == pytest.approx(2.0, abs=1e-4)
+    def test_minimize_zeta2_minimum_at_the_first_grid_point(self):
+        # grid times 0.01, 0.02, ...: the first point is the best, and the
+        # refinement brackets it from half its time, which holds the minimum
+        step = 6.0 / GRID_POINTS
+        t, f = minimize_zeta2(lambda x: (x - 0.7 * step) ** 2, 6.0, tol=1e-9)
+        assert t == pytest.approx(0.7 * step, abs=1e-8)
+        assert f <= 1e-16
+
+    def test_minimize_zeta2_minimum_at_the_last_grid_point(self):
+        # the last point, t_hi, is the best; the refinement stays within (0, t_hi]
+        step = 6.0 / GRID_POINTS
+        t, f = minimize_zeta2(lambda x: (x - (6.0 - 0.3 * step)) ** 2, 6.0, tol=1e-9)
+        assert t == pytest.approx(6.0 - 0.3 * step, abs=1e-8)
+        assert f <= 1e-16
+        t, f = minimize_zeta2(lambda x: -x, 6.0, tol=1e-9)
+        assert t == 6.0 and f == -6.0
