@@ -22,10 +22,10 @@ import numpy as np
 
 from . import phase_model
 from .wigner import _multipole_pass, _sphere_grid, separatrix as separatrix_curve
-from .exact_dynamics import _witness_kernel, band_spectrum, trajectory, zeta2_of_time
+from .exact_dynamics import _witness_kernel, trajectory, zeta2_of_time
 from .oat import oat_trajectory
 from .output import GridRows, write_table
-from .spin_core import ModelParams, StateVector, check_normalized, coherent_state
+from .spin_core import ModelParams, StateVector, coherent_state
 from .witnesses import (
     fit_taylor_coeffs,
     fit_times,
@@ -234,13 +234,15 @@ def run_evolve(cfg: RunConfig) -> list[Path]:
 def _protocol_fit(params: ModelParams, psi0: StateVector):
     """Protocol fit of the exact trajectory, in powers of N chi t."""
     n, chi = params.n_particles, params.chi
-    # one kernel call on the full solve; see band_spectrum for why not a window of the even block
-    return fit_taylor_coeffs(_witness_kernel(band_spectrum(params), psi0)(fit_times(n, chi)), n, chi)
+    # one records call on the full solve; see _witness_kernel for why not a window of the even block
+    return fit_taylor_coeffs(_witness_kernel(params, psi0, full=True).records(fit_times(n, chi)), n, chi)
 
 
 def _sweep_row(args) -> list:
     lam, n, state, oat_p3 = args
     try:
+        # the closed-form series first: a lam outside its domain fails the row before any solve
+        series = taylor_zeta2(state, lam)
         params = ModelParams.coupled(n, lam)
         cfg = RunConfig(params=params, initial_state=state)
         psi0 = initial_state_vector(cfg)
@@ -265,7 +267,6 @@ def _sweep_row(args) -> list:
         # the simulated lam, where its regime was decided
         z_ana = zeta2_min(regime, params.lam, n) if oscillates else math.nan
 
-        series = taylor_zeta2(state, lam)
         ana = series.in_omega_time(lam)
         r_num = fit.coeffs.p3 / oat_p3 if oat_p3 else math.nan
         # r_analytic: the row state's series p3 over the twisting p3, in the N chi t units of r_num
@@ -314,11 +315,10 @@ def run_wigner(cfg: RunConfig, snapshot_times, want_separatrix: bool | None = No
         raise ConfigError(f"{len(snapshot_times)} snapshots exceed the limit of "
                           f"{WIGNER_MULTIPOLE_BYTES // (16 * (n + 1) ** 2)} at N = {n}")
 
-    # every snapshot from one kernel call, in the sector psi0 occupies,
-    # and the multipoles of all of them from one pass over the tensor blocks
+    # every snapshot from one states call, each checked for its norm, in the sector
+    # psi0 occupies, and the multipoles of all of them from one pass over the tensor blocks
     blocks = _witness_kernel(p, initial_state_vector(cfg)).states(np.array(snapshot_times))
     _, re, im = (np.concatenate(part) for part in zip(*blocks))
-    check_normalized(np.sqrt((re * re + im * im).sum(axis=-1)))
     multipoles = _multipole_pass(n, re, im)
     written: list[Path] = []
     try:
@@ -357,9 +357,10 @@ def run_oat_compare(cfg: RunConfig) -> list[Path]:
 def run_fit(cfg: RunConfig) -> list[Path]:
     """Short-time coefficient extraction for one parameter point."""
     lam = cfg.params.lam
-    if not lam > 0.0:
-        raise ConfigError(f"fit needs lam > 0, got {lam}")
-    ana = taylor_zeta2(cfg.initial_state, lam)
+    try:
+        ana = taylor_zeta2(cfg.initial_state, lam)
+    except ValueError as exc:  # a lam outside the closed-form series' domain, before any solve
+        raise ConfigError(str(exc)) from exc
     fit = _protocol_fit(cfg.params, initial_state_vector(cfg))
     c = fit.coeffs
     rows = [[lam, c.p1, c.p2, c.p3, c.p4, ana.p1, ana.p2, ana.p3, ana.p4,

@@ -10,8 +10,8 @@ size N/2+1 on the bands of spin_core.ladder.  There they take every
 eigenvalue but only the eigenvectors where the state lives: a certified
 spectral window (_window), a short run of eigenvalue indices around its
 energy, widened until the state's part outside it is at most WINDOW_TOL.
-The short-time fit and a state with an odd part take the full spectrum
-of H instead (band_spectrum).
+The short-time fit (which sets _witness_kernel's full) and a state with
+an odd part take the full spectrum of H instead (band_spectrum).
 """
 
 from __future__ import annotations
@@ -99,15 +99,12 @@ WINDOW_START = 16
 class Spectrum:
     """Full eigendecomposition: ascending eigenvalues and orthonormal columns.
 
-    Of the whole H in the Dicke basis (band_spectrum: the short-time fit
-    samples and the states with an odd part, through the propagation
-    kernel _witness_kernel, and the tests' dense references); dim is the
-    size of the matrix solved.  Every other run path propagates in a
-    certified window of H's even block under m -> -m instead (_window),
-    which holds only some of the eigenvectors and is no Spectrum.  The
-    fit keeps the full solve: the window and the even block agree with it
-    to roundoff, but the fit amplifies that roundoff in p4 beyond the
-    tolerance its stored outputs are checked at.
+    Of the whole H in the Dicke basis (band_spectrum), which the
+    propagation kernel takes for the short-time fit samples and for a
+    state with an odd part (_witness_kernel), and of the dense references
+    (eigendecompose).  Every other run path propagates in a certified
+    window of H's even block under m -> -m instead (_window), which holds
+    only some of the eigenvectors and is no Spectrum.
     """
 
     n_particles: int
@@ -123,10 +120,6 @@ class Spectrum:
         v.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
 
 
 def hamiltonian_bands(params: ModelParams, even: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -169,65 +162,48 @@ def band_spectrum(params: ModelParams) -> Spectrum:
     """Spectrum of H from its bands, without the dense matrix.
 
     One (N+1)-point solve, bit for bit equal to
-    eigendecompose(hamiltonian(params)).  The samples of the short-time
-    fit use it (the kernel, fed this spectrum by cli._protocol_fit), and
-    so does the kernel for a state with an odd part; no command starts
-    from such a state.  Against dense per-time
-    samples, the fitted p4 moves by at most 8.3e-9 relative on this
-    spectrum; the even block would move it by up to 6.1e-8 relative at
-    N = 200, 3.5e-8 at N = 1000 and 9.1e-8 at N = 4000, past the 1e-8 at
-    which stored fit outputs are compared.
+    eigendecompose(hamiltonian(params)): the sector of _witness_kernel
+    with full set (the samples of the short-time fit, cli._protocol_fit;
+    its docstring says why) or with a state that has an odd part, from
+    which no command starts.
     """
     return _spectrum(params.n_particles, *hamiltonian_bands(params))
 
 
-def _eigenvalues(n_particles: int, diag: np.ndarray, off: np.ndarray):
-    """Every eigenvalue of the tridiagonal (diag, off), ascending: (w, block of each, isplit).
+def _eigenvalues(n_particles: int, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of the tridiagonal (diag, off), ascending, by LAPACK sterf.
 
-    The matrix splits into blocks where an off-diagonal is zero (every one
-    of them at omega = 0).  dqds (LAPACK sterf, no eigenvectors) solves
-    each block of two or more rows, and a block of one row is its own
-    eigenvalue.  block[i] is the 1-based block of w[i] and isplit the
-    blocks' last rows, as LAPACK stein takes them.  Bisection (stebz) of a
-    window's eigenvalues alone would skip the rest, but costs about
-    0.17 ms per eigenvalue at N/2+1 = 501 and 0.7 ms at 2001, against
-    4.3 and 72 ms for all of them by dqds (one BLAS thread): it would win
-    only for windows under about 25 indices at N = 1000 and 100 at
-    N = 4000, not for the pi state's 73 and 109, and pays off only at
-    larger N.
+    sterf is the Pal-Walker-Kahan root-free variant of the QL/QR iteration
+    (no eigenvectors); it splits the matrix itself where an off-diagonal is
+    negligible (every one of them at omega = 0) and sorts the eigenvalues
+    of all the pieces.  Bisection (stebz) of a window's eigenvalues alone
+    would skip the rest, but costs about 0.17 ms per eigenvalue at
+    N/2+1 = 501 and 0.7 ms at 2001, against 4.3 and 72 ms for all of them
+    by sterf (one BLAS thread): it would win only for windows under about
+    25 indices at N = 1000 and 100 at N = 4000, not for the pi state's 73
+    and 109, and pays off only at larger N.
     """
-    ends = np.append(np.flatnonzero(off == 0.0) + 1, diag.size)
-    starts = np.append(0, ends[:-1])
-    w = diag.copy()
-    for start, end in zip(starts, ends):
-        if end - start > 1:
-            w[start:end], info = scipy.linalg.lapack.dsterf(diag[start:end], off[start:end - 1])
-            if info:
-                raise RuntimeError(f"eigenvalues failed to converge for N={n_particles}: "
-                                   f"LAPACK sterf info={info}")
-    block = np.repeat(np.arange(1, ends.size + 1), ends - starts)
-    order = np.argsort(w, kind="stable")
-    isplit = np.zeros(diag.size, dtype=np.int32)
-    isplit[: ends.size] = ends
-    return w[order], block[order], isplit
+    w, info = scipy.linalg.lapack.dsterf(diag, off)
+    if info:
+        raise RuntimeError(f"eigenvalues failed to converge for N={n_particles}: "
+                           f"LAPACK sterf info={info}")
+    return w
 
 
-def _eigenvectors(n_particles: int, diag, off, w, block, isplit, indices) -> np.ndarray:
-    """Eigenvectors of the eigenvalues w[indices], one column each (LAPACK stein, inverse iteration).
+def _eigenvectors(n_particles: int, diag: np.ndarray, off: np.ndarray, w_subset: np.ndarray) -> np.ndarray:
+    """Eigenvectors of the ascending eigenvalues w_subset, one column each (LAPACK stein, inverse iteration).
 
-    stein takes the eigenvalues grouped by block, ascending within each;
-    the columns come back in the order of indices.
+    stein gets the matrix as one block: at omega > 0 no off-diagonal of H's
+    bands vanishes, and at omega = 0, where all do, inverse iteration on
+    the whole block still returns the unit vectors, up to roundoff.
     """
-    grouped = np.argsort(block[indices], kind="stable")
-    iblock = np.zeros(diag.size, dtype=np.int32)
-    iblock[: indices.size] = block[indices[grouped]]
-    z, info = scipy.linalg.lapack.dstein(diag, off, w[indices[grouped]], iblock, isplit)
+    iblock, isplit = np.ones(diag.size, dtype=np.int32), np.zeros(diag.size, dtype=np.int32)
+    isplit[0] = diag.size
+    z, info = scipy.linalg.lapack.dstein(diag, off, w_subset, iblock, isplit)
     if info:
         raise RuntimeError(f"eigenvectors failed to converge for N={n_particles}: "
                            f"LAPACK stein info={info}")
-    u = np.empty_like(z)
-    u[:, grouped] = z
-    return u
+    return z
 
 
 def _outside(x: np.ndarray, u: np.ndarray) -> float:
@@ -241,7 +217,10 @@ def _window(params: ModelParams, x: np.ndarray):
 
     Returns (eigenvalues, eigenvectors U, certificate |x - U U^T x| / |x|)
     of a contiguous run of eigenvalue indices lo ... hi-1, ascending.
-    Every eigenvalue comes from dqds (_eigenvalues); the run starts at
+    Every eigenvalue comes from sterf (_eigenvalues), the eigenvectors
+    from stein (_eigenvectors), each given the block whole at any omega,
+    also at omega = 0, where every off-diagonal is zero and sterf splits
+    the block into its rows itself.  The run starts at
     i0 +- WINDOW_START around the index i0 of x's energy <x|H|x>, taken
     from the bands in O(N), and widens by half its half-width per try
     until the certificate is at most WINDOW_TOL or the run holds every
@@ -261,7 +240,7 @@ def _window(params: ModelParams, x: np.ndarray):
     old one, and the projection leaves each nearly its whole norm.
     """
     diag, off = hamiltonian_bands(params, even=True)
-    w, block, isplit = _eigenvalues(params.n_particles, diag, off)
+    w = _eigenvalues(params.n_particles, diag, off)
     n = w.size
     prob = x.real * x.real + x.imag * x.imag
     energy = (diag @ prob + 2.0 * off @ (x.real[:-1] * x.real[1:] + x.imag[:-1] * x.imag[1:])) / prob.sum()
@@ -270,7 +249,7 @@ def _window(params: ModelParams, x: np.ndarray):
     u, half = np.empty((n, 0)), WINDOW_START
     while True:
         new_lo, new_hi = max(0, centre - half), min(n, centre + half + 1)
-        z = _eigenvectors(params.n_particles, diag, off, w, block, isplit, np.r_[new_lo:lo, hi:new_hi])
+        z = _eigenvectors(params.n_particles, diag, off, w[np.r_[new_lo:lo, hi:new_hi]])
         z -= u @ (u.T @ z)
         z /= np.linalg.norm(z, axis=0)
         u = np.hstack((z[:, : lo - new_lo], u, z[:, lo - new_lo :]))
@@ -283,99 +262,127 @@ def _window(params: ModelParams, x: np.ndarray):
 
 def evolve(spec: Spectrum, psi0: StateVector, t: float) -> StateVector:
     """Spectral propagation |psi(t)> = sum_k e^{-i E_k t} <v_k|psi0> |v_k>."""
-    if spec.dim != psi0.dim:
-        raise ValueError(f"dimension mismatch: spectrum dim={spec.dim}, state dim={psi0.dim}")
+    if spec.eigenvalues.size != psi0.dim:
+        raise ValueError(f"dimension mismatch: spectrum dim={spec.eigenvalues.size}, state dim={psi0.dim}")
     coeffs = spec.eigenvectors.conj().T @ psi0.amplitudes
     amp = spec.eigenvectors @ (np.exp(-1j * spec.eigenvalues * t) * coeffs)
     return StateVector(psi0.n_particles, amp)
 
 
-def _witness_kernel(source: Spectrum | ModelParams, psi0: StateVector):
-    """Propagation kernel of one (H, psi0): a 1-D array of times -> one record of arrays.
+def _slices(size: int, width: int) -> list[slice]:
+    """Slices of size rows of this width, at most SLICE_DOUBLES doubles of real and imaginary parts each."""
+    # one slice at least, so that no times reduce to empty moments
+    step = max(1, SLICE_DOUBLES // (2 * width))
+    return [slice(start, start + step) for start in range(0, max(size, 1), step)]
 
-    The one propagator.  It works in one sector: eigenvalues w, k
-    orthonormal eigenvectors U of the sector's size n, and psi0's
-    coordinates p in its basis.  Given a Spectrum of the whole H
-    (band_spectrum; only the short-time fit, cli._protocol_fit), the
-    sector is the Dicke basis itself, with all k = n eigenvectors.  Given
-    the ModelParams (trajectory; zeta2_of_time, which sends the minimum
-    search's whole grid in one call and its refinement one time per call;
-    the Wigner snapshots of cli.run_wigner), it is the certified window
-    of the even block under m -> -m (_window), n = N/2+1, when psi0's odd
-    part is at most EMPTY_SECTOR_NORM, as for the equatorial coherent
-    states: U holds only the k eigenvectors where psi0 lives, its part
-    outside them at most WINDOW_TOL.  A state with a larger odd part
-    takes band_spectrum(params), as the fit does.  records.window is k
-    and records.certificate psi0's part outside U,
-    |p - U U^T p| / |p|.  The times may come in any order; each call
-    is one pass through them.  c = U^T p is formed once; every block of at
-    most PROPAGATION_DOUBLES doubles of Dicke amplitudes is propagated as
-    two real matrix products U Re(e^{-iwt} c) and U Im(e^{-iwt} c).
-    records.states(times) yields those blocks, (times, Re psi, Im psi)
-    with one state per row, in the Dicke basis (the even block mirrored
-    back by spin_core._from_even).  records(times) reduces them to moments
-    by O(N) band arithmetic per time in the sector's own coordinates
-    (spin_core.band_moments), so the even block is never mirrored.  Then,
-    over all times at once, it runs the norm check, the first-moment check
-    and one make_record call; each check fails with the dense reference's
-    ValueError (evolve, covariance_yz, make_record) at the earliest time
-    that fails it.  The phases, their combination with c and the
-    reduction run over slices of rows of at most SLICE_DOUBLES doubles,
-    which move no bits: every one of these stages works row by row.
+
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """Propagation kernel of one (H, psi0) in one sector; _witness_kernel builds it.
+
+    The sector's eigenvalues w (energies), k orthonormal eigenvectors U of
+    the sector's size n (k = energies.size), and c = U^T p, psi0's
+    coordinates p in the sector's basis taken onto them (c_re + i c_im),
+    formed once.  even is true in the even block under m -> -m
+    (n = N/2+1) and false in the Dicke basis (n = N+1); certificate is
+    psi0's part outside U, |p - U U^T p| / |p|.  chunk is the number of
+    times propagated per block, at most PROPAGATION_DOUBLES doubles of
+    Dicke amplitudes, one at least.  The times may come in any order;
+    each call of records or states is one pass through them.
     """
-    n = psi0.n_particles
-    if isinstance(source, ModelParams):
-        if source.n_particles != n:
-            raise ValueError(f"dimension mismatch: model dim={source.n_particles + 1}, "
-                             f"state dim={psi0.dim}")
-        p, odd = _parity_coords(psi0.amplitudes)
-        if np.linalg.norm(odd) > EMPTY_SECTOR_NORM:
-            source = band_spectrum(source)  # the full solve, as the fit's
-    elif source.dim != psi0.dim:
-        raise ValueError(f"dimension mismatch: spectrum dim={source.dim}, state dim={psi0.dim}")
-    even = isinstance(source, ModelParams)
-    if even:
-        energies, u, certificate = _window(source, p)
-    else:
-        energies, u, p = source.eigenvalues, source.eigenvectors, psi0.amplitudes
-        certificate = _outside(p, u)
-    c_re, c_im = p.real @ u, p.imag @ u
-    chunk = max(1, PROPAGATION_DOUBLES // (2 * psi0.dim))
 
-    def slices(size: int, width: int):
-        # one slice at least, so that no times reduce to empty moments
-        step = max(1, SLICE_DOUBLES // (2 * width))
-        return [slice(start, start + step) for start in range(0, max(size, 1), step)]
+    n_particles: int
+    energies: np.ndarray
+    eigenvectors: np.ndarray
+    c_re: np.ndarray
+    c_im: np.ndarray
+    even: bool
+    certificate: float
+    chunk: int
 
-    def propagate(times: np.ndarray):
-        """Blocks (times, Re psi, Im psi) in the sector's coordinates."""
-        for start in range(0, max(times.size, 1), chunk):
-            ts = times[start : start + chunk]
+    def _propagate(self, times: np.ndarray):
+        """Blocks (times, Re psi, Im psi) in the sector's coordinates, one state per row.
+
+        Each block is two real matrix products U Re(e^{-iwt} c) and
+        U Im(e^{-iwt} c); the phases and their combination with c run over
+        slices of rows (_slices), which move no bits, since both work row
+        by row.
+        """
+        w, u, c_re, c_im = self.energies, self.eigenvectors, self.c_re, self.c_im
+        for start in range(0, max(times.size, 1), self.chunk):
+            ts = times[start : start + self.chunk]
             # rows are states: psi(t) = (e^{-iwt} * c) U^T
-            a_re, a_im = np.empty((2, ts.size, energies.size))
-            for rows in slices(ts.size, energies.size):
-                phase = np.outer(ts[rows], energies)
+            a_re, a_im = np.empty((2, ts.size, w.size))
+            for rows in _slices(ts.size, w.size):
+                phase = np.outer(ts[rows], w)
                 cos, sin = np.cos(phase), np.sin(phase)
                 a_re[rows] = cos * c_re + sin * c_im
                 a_im[rows] = cos * c_im - sin * c_re
             yield ts, a_re @ u.T, a_im @ u.T
 
-    def states(times: np.ndarray):
-        for ts, re, im in propagate(times):
-            yield (ts, _from_even(re), _from_even(im)) if even else (ts, re, im)
+    def states(self, times: np.ndarray):
+        """Blocks (times, Re psi, Im psi) in the Dicke basis, one state per row, each row's norm checked.
 
-    def records(times: np.ndarray) -> WitnessRecord:
+        The even block is mirrored back by spin_core._from_even.
+        """
+        for ts, re, im in self._propagate(times):
+            if self.even:
+                re, im = _from_even(re), _from_even(im)
+            check_normalized(np.sqrt((re * re + im * im).sum(axis=-1)))
+            yield ts, re, im
+
+    def records(self, times: np.ndarray) -> WitnessRecord:
+        """One record of arrays over a 1-D array of times.
+
+        The propagated blocks reduce to moments by O(N) band arithmetic per
+        time in the sector's own coordinates (spin_core.band_moments), so
+        the even block is never mirrored, over the same slices of rows as
+        the propagation.  Then, over all times at once, come the norm
+        check, the first-moment check and one make_record call; each check
+        fails with the dense reference's ValueError (evolve,
+        covariance_yz, make_record) at the earliest time that fails it.
+        """
+        n = self.n_particles
         # the module's band_moments at call time
-        moments = [band_moments(n, re[rows], im[rows], even)
-                   for _, re, im in propagate(times) for rows in slices(len(re), re.shape[-1])]
+        moments = [band_moments(n, re[rows], im[rows], self.even)
+                   for _, re, im in self._propagate(times) for rows in _slices(len(re), re.shape[-1])]
         mom = BandMoments(*(np.concatenate(column) for column in zip(*moments)))
         check_normalized(mom.norm)
         check_first_moments(mom.jy, mom.jz, n)
         return make_record(times, mom.jx, CovarianceYZ(mom.gzz, mom.gyy, mom.gyz), n)
 
-    records.states = states
-    records.window, records.certificate = energies.size, certificate
-    return records
+
+def _witness_kernel(params: ModelParams, psi0: StateVector, full: bool = False) -> _Kernel:
+    """The one propagator of (H, psi0), in the one sector chosen here.
+
+    When full is false and psi0's odd part under m -> -m is at most
+    EMPTY_SECTOR_NORM, as for the equatorial coherent states, the sector
+    is the certified window of the even block (_window): U holds only the
+    k eigenvectors of its N/2+1 where psi0 lives, its part outside them at
+    most WINDOW_TOL.  Every other case takes the full solve of the whole
+    H, band_spectrum(params), with all k = N+1 eigenvectors of the Dicke
+    basis.  The callers are trajectory, zeta2_of_time (the minimum
+    search: its whole grid in one records call, its refinement one time
+    per call) and cli.run_wigner (states), all in the window for their
+    equatorial states, and the short-time fit, cli._protocol_fit, which
+    sets full: the window and the even block agree with the full solve to
+    roundoff, but the fit amplifies that roundoff in p4.  Against dense
+    per-time samples, the fitted p4 moves by at most 8.3e-9 relative on
+    the full solve; the even block would move it by up to 6.1e-8 relative
+    at N = 200, 3.5e-8 at N = 1000 and 9.1e-8 at N = 4000, past the 1e-8
+    at which stored fit outputs are compared.
+    """
+    if params.n_particles != psi0.n_particles:
+        raise ValueError(f"dimension mismatch: model dim={params.n_particles + 1}, state dim={psi0.dim}")
+    p, odd = _parity_coords(psi0.amplitudes)
+    even = not (full or np.linalg.norm(odd) > EMPTY_SECTOR_NORM)
+    if even:
+        energies, u, certificate = _window(params, p)
+    else:
+        spec, p = band_spectrum(params), psi0.amplitudes
+        energies, u, certificate = spec.eigenvalues, spec.eigenvectors, _outside(p, spec.eigenvectors)
+    return _Kernel(psi0.n_particles, energies, u, p.real @ u, p.imag @ u, even, certificate,
+                   max(1, PROPAGATION_DOUBLES // (2 * psi0.dim)))
 
 
 def trajectory(params: ModelParams, psi0: StateVector, times) -> WitnessRecord:
@@ -395,7 +402,7 @@ def trajectory(params: ModelParams, psi0: StateVector, times) -> WitnessRecord:
         raise ValueError("times must be nonnegative")
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
-    return _witness_kernel(params, psi0)(times)
+    return _witness_kernel(params, psi0).records(times)
 
 
 def zeta2_of_time(params: ModelParams, psi0: StateVector):
@@ -406,7 +413,7 @@ def zeta2_of_time(params: ModelParams, psi0: StateVector):
     built once, for an equatorial state in the certified window of the
     even block (its eigenvalues and the few eigenvectors where psi0
     lives; c = U^T p formed once), and
-    each call is one kernel call with all its times, whose record's
+    each call is one records call with all its times, whose record's
     zeta2_opt it returns, reshaped.  minimize_zeta2 sends its whole grid in
     one call and its refinement one time per call.
     """
@@ -414,7 +421,7 @@ def zeta2_of_time(params: ModelParams, psi0: StateVector):
 
     def zeta2(t):
         ts = np.asarray(t, dtype=float)
-        z = kernel(ts.ravel()).zeta2_opt
+        z = kernel.records(ts.ravel()).zeta2_opt
         return float(z[0]) if ts.ndim == 0 else z.reshape(ts.shape)
 
     return zeta2

@@ -114,7 +114,9 @@ def taylor_zeta2(model: str, lam: float | None = None) -> TaylorCoeffs:
 
     Models: "oat" (twisting only), and the initial states of a coupled run,
     "pi" (state on the negative x axis) and "zero" (state on the positive x
-    axis).  The coupled models require lam > 0; each series holds on both
+    axis).  The coupled models require lam > 0 with 1/lam^2 finite, lam
+    above about 2^-512 = 7.5e-155 (below it the coefficients would be
+    infinite, or 1/lam^2 a division by zero); each series holds on both
     sides of lam = 1, whichever closed form phase_model.regime names.  One
     series serves all three: p1 = -1, p2 = 1/2, p3 = -1/8 - g/6 and
     p4 = g/6, g = a - a^2, with a = 1/s at phase_model's signed coupling s
@@ -124,8 +126,10 @@ def taylor_zeta2(model: str, lam: float | None = None) -> TaylorCoeffs:
     if model not in ("oat", "pi", "zero"):
         raise ValueError(f"unknown model {model!r}")
     if model != "oat" and not (lam is not None and lam > 0):
-        raise ValueError(f"model {model!r} requires a positive lam")
+        raise ValueError(f"model {model!r} needs lam > 0, got {lam}")
     s = math.inf if model == "oat" else phase_model._signed_coupling(model, lam)
+    if not (s**2 > 0.0 and math.isfinite(1.0 / s**2)):
+        raise ValueError(f"model {model!r} needs 1/lam^2 finite, lam above about 7.5e-155 (2^-512), got {lam}")
     g = 1.0 / s - 1.0 / s**2  # a^2 as 1/s^2: a * a rounds differently
     return TaylorCoeffs(-1.0, 0.5, -0.125 - g / 6.0, g / 6.0)
 

@@ -54,3 +54,11 @@ def test_first_reference_job_passes_its_checks(name, tmp_path):
                                              reference.load())
     assert problems == []
     assert elapsed is not None and rows > 0
+
+
+def test_no_test_module_shares_a_name_with_a_perfbench_module():
+    # pytest puts tests/ on sys.path and this module puts perfbench/ there, so the
+    # first import of a shared name binds one of the two files for the whole session
+    ours = {path.stem for path in (ROOT / "tests").glob("*.py")}
+    theirs = {path.stem for path in [*BENCH.glob("*.py"), *(BENCH / "tests").glob("*.py")]}
+    assert ours & theirs == set()

@@ -444,6 +444,40 @@ class TestCouplingGuards:
         assert "needs lam > 0, got 0.0" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("state", ["pi", "zero"])
+    @pytest.mark.parametrize("lam", ["1e-160", "1e-170"])
+    def test_lambda_below_the_series_domain_rejected_before_solving(self, tmp_path, capsys, no_solve,
+                                                                    state, lam):
+        # 1/lam^2 overflows below about 2^-512 (1e-160) and divides by zero below about 1.5e-162 (1e-170)
+        rc = main(["fit", "--state", state, "--n", "20", "--lambda", lam, "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"needs 1/lam^2 finite, lam above about 7.5e-155 (2^-512), got {lam}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("state", ["pi", "zero"])
+    def test_sweep_row_below_the_series_domain_fails_before_solving(self, tmp_path, monkeypatch, state):
+        # the twisting reference fit solves; a row's fit or search would fail its row with "solved"
+        fit = bjjsim.cli._protocol_fit
+
+        def reference_fit_only(params, psi0):
+            if params.omega > 0.0:
+                raise AssertionError("solved")
+            return fit(params, psi0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(bjjsim.cli, "_protocol_fit", reference_fit_only)
+        monkeypatch.setattr(bjjsim.cli, "zeta2_of_time", refuse)
+        cfg = SweepConfig(lambda_grid=(1e-170, 1e-160), base=small_cfg(
+            tmp_path, params=ModelParams.coupled(20, 2.0), initial_state=state))
+        with open(run_sweep(cfg)[0], newline="") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows] == [
+            f"error: model {state!r} needs 1/lam^2 finite, lam above about 7.5e-155 (2^-512), got {lam}"
+            for lam in (1e-170, 1e-160)]
+
     @pytest.mark.parametrize("argv, name", [
         (["evolve", "--state", "zero", "--compare", "oat"], "evolve.csv"),
         (["oat-compare"], "oat_compare.csv"),

@@ -31,6 +31,7 @@ import math
 import re
 import sys
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -278,8 +279,8 @@ def test_row_slices_move_no_bits(monkeypatch, phi):
 
     def run():
         return (trajectory(params, psi0, np.linspace(0.0, 6.0, 40)),
-                _witness_kernel(params, psi0)(grid),
-                _witness_kernel(band_spectrum(params), psi0)(fit_times(n, params.chi)))
+                _witness_kernel(params, psi0).records(grid),
+                _witness_kernel(params, psi0, full=True).records(fit_times(n, params.chi)))
 
     default = run()
     monkeypatch.setattr(exact_dynamics, "SLICE_DOUBLES", 1)
@@ -315,18 +316,18 @@ def test_even_spectrum_is_a_spectrum_of_h(n, lam):
     # the twisting limit (lam = 0) has degenerate +-m levels
     params = ModelParams.twisting(n) if lam == 0.0 else ModelParams.coupled(n, lam)
     even = even_block_spectrum(params)
-    assert even.dim == n // 2 + 1
+    assert even.eigenvalues.size == n // 2 + 1
     assert np.all(np.diff(even.eigenvalues) >= 0.0)
     u = even.eigenvectors
-    assert np.abs(u.T @ u - np.eye(even.dim)).max() <= 1e-13
+    assert np.abs(u.T @ u - np.eye(even.eigenvalues.size)).max() <= 1e-13
     # |H| is the largest |eigenvalue| of the full spectrum
     full = band_spectrum(params).eigenvalues
     norm_h = max(1.0, np.abs(full).max())
     w = even.eigenvalues
     assert np.abs(w[:, None] - full).min(axis=1).max() <= 1e-13 * norm_h
     v = even_vectors(even)
-    assert v.shape == (n + 1, even.dim)
-    assert np.abs(v.T @ v - np.eye(even.dim)).max() <= 1e-13
+    assert v.shape == (n + 1, even.eigenvalues.size)
+    assert np.abs(v.T @ v - np.eye(even.eigenvalues.size)).max() <= 1e-13
     assert band_residual(params, w, v) <= 1e-13 * norm_h
     # every column is exactly even under m -> -m
     assert np.array_equal(v[::-1], v)
@@ -339,8 +340,8 @@ def kernel_fields(rec):
 
 
 def assert_kernels_close(params, psi0, times):
-    got = _witness_kernel(params, psi0)(times)
-    want = _witness_kernel(band_spectrum(params), psi0)(times)
+    got = _witness_kernel(params, psi0).records(times)
+    want = _witness_kernel(params, psi0, full=True).records(times)
     a = np.column_stack(kernel_fields(got))
     b = np.column_stack(kernel_fields(want))
     assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))), (a, b)
@@ -386,7 +387,7 @@ def count_eigensolves(monkeypatch):
 
 def even_window_solve(params, psi0):
     """One equatorial kernel's eigensolves: the even block's N/2+1 eigenvalues, its window's k eigenvectors."""
-    return [("values", params.n_particles // 2 + 1), ("vectors", _witness_kernel(params, psi0).window)]
+    return [("values", params.n_particles // 2 + 1), ("vectors", _witness_kernel(params, psi0).energies.size)]
 
 
 @pytest.mark.parametrize("phi", [math.pi, 0.0])
@@ -416,14 +417,14 @@ def test_minimum_search_sends_its_grid_in_one_kernel_call(monkeypatch, state):
     kernel = exact_dynamics._witness_kernel
     solve = even_window_solve(cfg.params, psi0)
 
-    def counted_kernel(source, psi):
-        records = kernel(source, psi)
+    def counted_kernel(params, psi):
+        records = kernel(params, psi).records
 
         def counted(times):
             calls.append(np.array(times))
             return records(times)
 
-        return counted
+        return SimpleNamespace(records=counted)
 
     monkeypatch.setattr(exact_dynamics, "_witness_kernel", counted_kernel)
     sizes = count_eigensolves(monkeypatch)
@@ -535,7 +536,7 @@ def assert_kernel_matches_dense(kernel, params, psi0):
     # records over t = 0 ... 1 against the dense per-time reference, at propagation_rtol
     times = np.linspace(0.0, 1.0, 11)
     record = dense_witness_of_time(params, psi0)
-    got, want = kernel(times), stacked([record(float(t)) for t in times])
+    got, want = kernel.records(times), stacked([record(float(t)) for t in times])
     a, b = np.column_stack(kernel_fields(got)), np.column_stack(kernel_fields(want))
     tol = propagation_rtol(params, times)[:, None]
     assert np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))), (a, b)
@@ -564,7 +565,7 @@ def test_occupied_sectors_are_solved_and_propagated(monkeypatch, even_part, odd_
     params, psi0 = ModelParams.coupled(n, 2.0), parity_state(n, even_part, odd_part)
     sizes = count_eigensolves(monkeypatch)
     kernel = _witness_kernel(params, psi0)
-    assert sizes == ([("values", n // 2 + 1), ("vectors", kernel.window)] if solved == "even"
+    assert sizes == ([("values", n // 2 + 1), ("vectors", kernel.energies.size)] if solved == "even"
                      else [("full", n + 1)])
     assert_kernel_matches_dense(kernel, params, psi0)
 
@@ -578,7 +579,7 @@ def assert_certified_window(params, psi0):
     kernel = _witness_kernel(params, psi0)
     x = _parity_coords(psi0.amplitudes)[0]
     w, u, certificate = exact_dynamics._window(params, x)
-    assert (kernel.window, kernel.certificate) == (w.size, certificate)
+    assert (kernel.energies.size, kernel.certificate) == (w.size, certificate)
     assert certificate <= exact_dynamics.WINDOW_TOL
     assert np.linalg.norm(x - u @ (u.T @ x)) <= exact_dynamics.WINDOW_TOL * np.linalg.norm(x)
     assert np.abs(u.T @ u - np.eye(w.size)).max() <= 1e-13
@@ -604,6 +605,16 @@ def test_window_is_certified(n, lam, phi):
     # lam = 0 is omega = 0: every off-diagonal is -0.0 and H splits into 1 x 1 blocks
     params = ModelParams.twisting(n) if lam == 0.0 else ModelParams.coupled(n, lam)
     assert_certified_window(params, coherent_state(n, math.pi / 2, phi))
+
+
+@pytest.mark.parametrize("phi", [math.pi, 0.0])
+def test_window_hands_lapack_one_block_at_omega_zero(monkeypatch, phi):
+    # at omega = 0 every off-diagonal is -0.0, yet sterf gets the whole even
+    # block and splits it itself, and stein gets it as one block too
+    n = 60
+    sizes = count_eigensolves(monkeypatch)
+    _witness_kernel(ModelParams.twisting(n), coherent_state(n, math.pi / 2, phi))
+    assert sizes == [("values", n // 2 + 1), ("vectors", n // 2 + 1)]
 
 
 @pytest.mark.parametrize("phi, lam, where", [
@@ -633,7 +644,7 @@ def test_spread_state_takes_the_whole_block():
     params, psi0 = ModelParams.coupled(n, 2.0), StateVector(n, amp / np.linalg.norm(amp))
     assert_certified_window(params, psi0)
     kernel = _witness_kernel(params, psi0)
-    assert kernel.window == n // 2 + 1
+    assert kernel.energies.size == n // 2 + 1
     assert_kernel_matches_dense(kernel, params, psi0)
 
 
@@ -650,7 +661,7 @@ def test_dicke_basis_window_is_certified(monkeypatch, n, lam, theta, phi):
     sizes = count_eigensolves(monkeypatch)
     kernel = _witness_kernel(params, psi0)
     assert sizes == [("full", n + 1)]
-    assert kernel.window == n + 1
+    assert kernel.energies.size == n + 1
     assert kernel.certificate <= exact_dynamics.WINDOW_TOL
 
 
@@ -674,7 +685,7 @@ def test_window_stays_short_at_max_n(phi, lam):
     params, psi0 = ModelParams.coupled(MAX_N, lam), coherent_state(MAX_N, math.pi / 2, phi)
     kernel = _witness_kernel(params, psi0)
     assert kernel.certificate <= exact_dynamics.WINDOW_TOL
-    assert kernel.window <= 300
+    assert kernel.energies.size <= 300
 
 
 @pytest.mark.parametrize("routine", ["dsterf", "dstein"])
@@ -778,8 +789,8 @@ def test_dimension_mismatch():
     params, psi0 = ModelParams.coupled(10, 1.5), coherent_state(12, math.pi / 2, math.pi)
     with pytest.raises(ValueError, match="dimension mismatch: model dim=11, state dim=13"):
         trajectory(params, psi0, [0.0])
-    with pytest.raises(ValueError, match="dimension mismatch: spectrum dim=11, state dim=13"):
-        _witness_kernel(band_spectrum(params), psi0)
+    with pytest.raises(ValueError, match="dimension mismatch: model dim=11, state dim=13"):
+        _witness_kernel(params, psi0, full=True)
 
 
 SPOILS = [
