@@ -52,9 +52,8 @@ MAX_N = 4000
 #: and in the Legendre tables, and each snapshot's CSV holds about 690 N^2
 #: bytes.  At N = 500 (2-core host, one BLAS thread) one snapshot runs in
 #: 7-10 s at 146 MiB peak RSS and writes 172 MB; two run in 13 s at
-#: 150 MiB.  Run time and file size keep the limit at 500: at 2N the
-#: O(N^3) parts take 8 times as long and the CSV is 4 times the size.
-#: Memory no longer sets it.
+#: 150 MiB.  Run time and file size, not memory, keep the limit at 500: at
+#: 2N the O(N^3) parts take 8 times as long and the CSV is 4 times the size.
 WIGNER_MAX_N = 500
 #: Bytes of the multipoles that `wigner` holds for all its snapshots at
 #: once, 16 (N+1)^2 per snapshot (3.8 MiB at N = 500): the one multipole
@@ -72,10 +71,10 @@ WIGNER_MULTIPOLE_BYTES = 2**27
 #: 0.4 kB per step in CSV and in JSON (156 MB RSS in CSV and 159 to
 #: 164 MB in JSON at 200 000 steps for N = 60, 160 to 165 MB in JSON for
 #: N = 1000), half the peak of the largest fit and sweep at MAX_N.  The
-#: CSV peak is 5 MB above the 151 MB it had before the kernel's row
-#: slices (`exact_dynamics.SLICE_DOUBLES`): their temporaries come from
-#: the heap, which keeps freed pages; that is accepted for the slices'
-#: speed on short grids.
+#: kernel's row slices (`exact_dynamics.SLICE_DOUBLES`) make temporaries
+#: that come from the heap, which keeps freed pages: slices of 2^17
+#: doubles would lower the CSV peak by about 5 MB but slow an N = 200
+#: sweep job by about 7%.
 MAX_STEPS = 200_000
 
 EVOLVE_COLUMNS = (

@@ -51,14 +51,20 @@ def _check_width(width: int, ncol: int, schema_name: str) -> None:
         raise ValueError(f"row has {width} fields, schema {schema_name} has {ncol}")
 
 
-def _blocks(rows):
-    """Lists of at most BLOCK_ROWS rows; a 2-D array converts one block at a time."""
+def _blocks(rows, ncol: int, schema_name: str):
+    """Lists of at most BLOCK_ROWS rows, each row's width checked against ncol.
+
+    A 2-D array converts one block at a time.  Blocks before a row of the
+    wrong width are yielded, the block that holds it is not.
+    """
     if isinstance(rows, np.ndarray):
-        for start in range(0, len(rows), BLOCK_ROWS):
-            yield rows[start : start + BLOCK_ROWS].tolist()
-        return
-    rows = iter(rows)
-    while block := list(islice(rows, BLOCK_ROWS)):
+        blocks = (rows[i : i + BLOCK_ROWS].tolist() for i in range(0, len(rows), BLOCK_ROWS))
+    else:
+        rows = iter(rows)
+        blocks = iter(lambda: list(islice(rows, BLOCK_ROWS)), [])
+    for block in blocks:
+        for row in block:
+            _check_width(len(row), ncol, schema_name)
         yield block
 
 
@@ -66,10 +72,7 @@ def _write_rows(fh, schema_name: str, ncol: int, rows) -> None:
     """Numeric rows a block at a time; blocks holding a string go through csv."""
     line = ",".join(["%.17g"] * ncol) + "\n"
     writer = csv.writer(fh, lineterminator="\n")
-    for block in _blocks(rows):
-        bad = next((row for row in block if len(row) != ncol), None)
-        if bad is not None:
-            _check_width(len(bad), ncol, schema_name)
+    for block in _blocks(rows, ncol, schema_name):
         try:
             fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
         except TypeError:  # a string field: format row by row
@@ -79,13 +82,16 @@ def _write_rows(fh, schema_name: str, ncol: int, rows) -> None:
 
 
 def _write_grid(fh, grid: GridRows) -> None:
-    """One string operation per a-row: the b values are formatted once, into line tails.
+    """One string operation per a-row, every row through one template.
 
-    Row n_a-1-i that equals row i read backwards in b (index -j mod n_b,
-    the reflection phi -> -phi of a periodic grid starting at -pi), bit for
-    bit in every value array, reuses row i's formatted values: row i is
-    formatted into one string, held until its mirror is written, and both
-    rows are filled in from its pieces with a '%s' template.
+    The template is the row's a value x followed, for each b value y_j
+    (formatted once for the whole grid), by ",y_j%s\n"; a row fills it
+    with its per-b value strings (",%.17g" per value array), the pieces of
+    its formatted text split at the line ends.  Row n_a-1-i that equals
+    row i read backwards in b (index -j mod n_b, the reflection phi -> -phi
+    of a periodic grid starting at -pi), bit for bit in every value array,
+    reuses row i's text: it is held as one string until the mirror row is
+    written, then split and read in the flipped order.
     """
     a, b, values = grid.arrays()
     n_a, n_b = a.size, b.size
@@ -97,22 +103,19 @@ def _write_grid(fh, grid: GridRows) -> None:
     }
     held = {}  # mirrored row i -> its values, one line of ",%.17g" fields per b
     cells = ",%.17g" * len(values) + "\n"
-    y_text = ["%.17g" % y for y in b.tolist()]
-    tails = ["," + y + cells for y in y_text]
-    filled = ["," + y + "%s\n" for y in y_text]
+    filled = [",%.17g%%s\n" % y for y in b.tolist()]
     flip = flip.tolist()
     for i, x in enumerate(a.tolist()):
-        head = "%.17g" % x
         if n_a - 1 - i in mirrored:
             pieces = held.pop(n_a - 1 - i).split("\n")
-            fh.write((head + head.join(filled)) % tuple([pieces[j] for j in flip]))
-            continue
-        flat = tuple(np.stack([v[i] for v in values], axis=1).ravel().tolist())
-        if i in mirrored:
-            held[i] = (cells * n_b) % flat
-            fh.write((head + head.join(filled)) % tuple(held[i].split("\n")[:-1]))
+            pieces = [pieces[j] for j in flip]
         else:
-            fh.write((head + head.join(tails)) % flat)
+            text = (cells * n_b) % tuple(np.stack([v[i] for v in values], axis=1).ravel().tolist())
+            if i in mirrored:
+                held[i] = text
+            pieces = text.split("\n")[:-1]
+        head = "%.17g" % x
+        fh.write((head + head.join(filled)) % tuple(pieces))
 
 
 @contextmanager
@@ -179,9 +182,7 @@ def write_json(path: Path, schema_name: str, columns, rows) -> Path:
     with _atomic_write(path) as fh:
         fh.write(head + '\n "rows": [')
         empty = True
-        for block in _blocks(rows):
-            for row in block:
-                _check_width(len(row), ncol, schema_name)
+        for block in _blocks(rows, ncol, schema_name):
             block = [[c if isinstance(c, str) else float(c) for c in row] for row in block]
             fh.write(("\n" if empty else ",\n") + _json_rows(block))
             empty = False

@@ -21,6 +21,7 @@ TENSOR_NORM_TOL = 1e-6
 IMAG_RESIDUE_TOL = 1e-8
 ENERGY_TOL = 1e-8
 TABLE_DOUBLES = 1 << 17  # Legendre-table chunk bound: 1 MiB
+SEPARATRIX_POINTS = 721  # samples of phi over the separatrix's domain in [0, pi]
 
 
 @dataclass(frozen=True)
@@ -214,13 +215,15 @@ def wigner(psi: StateVector) -> SphereGrid:
     return _sphere_grid(_multipole_pass(psi.n_particles, re, im), re, im)
 
 
-def separatrix(lam: float, n_points: int = 721) -> SeparatrixCurve:
+def separatrix(lam: float) -> SeparatrixCurve:
     """Separatrix through (pi, 0), uniformly sampled in phi over its domain.
 
-    For lam >= 2 the curve spans all phi (at lam = 2 it touches the poles);
-    for 1 < lam < 2 it exists only beyond the tangency angle where
-    cos^2(phi) = lam (2 - lam).  Only the branch through the fixed point is
-    returned (z >= 0 here; the mirror is -z).
+    For 1 < lam <= 2 the curve exists only beyond the tangency angle
+    phi_lo = arccos(-sqrt(lam (2 - lam))), where cos^2(phi) = lam (2 - lam);
+    at lam = 2 that is arccos(-0.0) = pi/2 and the curve touches the poles.
+    For lam > 2 it spans all phi.  SEPARATRIX_POINTS samples cover
+    [phi_lo, pi]; only the branch through the fixed point is returned
+    (z >= 0 here; the mirror is -z).
 
     With c = cos(phi), squaring the level set E = 1 gives a quadratic in
     u = z^2 with roots (2/lam^2) ((lam - c^2) -+ sqrt(disc)), disc =
@@ -230,16 +233,9 @@ def separatrix(lam: float, n_points: int = 721) -> SeparatrixCurve:
     """
     if lam <= 1.0:
         raise ValueError(f"no separatrix through (pi, 0) for lam <= 1, got {lam}")
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    if lam < 2.0:
-        phi_lo = np.arccos(-np.sqrt(lam * (2.0 - lam)))
-    elif lam == 2.0:
-        phi_lo = np.pi / 2.0
-    else:
-        phi_lo = 0.0
+    phi_lo = np.arccos(-np.sqrt(lam * (2.0 - lam))) if lam <= 2.0 else 0.0
 
-    phi_pos = np.linspace(phi_lo, np.pi, n_points)
+    phi_pos = np.linspace(phi_lo, np.pi, SEPARATRIX_POINTS)
     c = np.cos(phi_pos)
     disc = c * c * ((lam - 1.0) ** 2 - np.sin(phi_pos) ** 2)
     # a negative disc (roundoff at the tangency) clamps to the double root

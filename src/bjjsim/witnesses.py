@@ -128,9 +128,12 @@ def taylor_zeta2(model: str, lam: float | None = None) -> TaylorCoeffs:
     if model != "oat" and not (lam is not None and lam > 0):
         raise ValueError(f"model {model!r} needs lam > 0, got {lam}")
     s = math.inf if model == "oat" else phase_model._signed_coupling(model, lam)
-    if not (s**2 > 0.0 and math.isfinite(1.0 / s**2)):
+    # s**2 overflows from |s| = 2^512 = 1.34e154 on, where 1/s^2 underflows and g is 1/s;
+    # not s * s, which rounds differently from pow for some s
+    s2 = s**2 if abs(s) < 2.0**512 else math.inf
+    if not (s2 > 0.0 and math.isfinite(1.0 / s2)):
         raise ValueError(f"model {model!r} needs 1/lam^2 finite, lam above about 7.5e-155 (2^-512), got {lam}")
-    g = 1.0 / s - 1.0 / s**2  # a^2 as 1/s^2: a * a rounds differently
+    g = 1.0 / s - 1.0 / s2  # a^2 as 1/s^2: a * a rounds differently
     return TaylorCoeffs(-1.0, 0.5, -0.125 - g / 6.0, g / 6.0)
 
 

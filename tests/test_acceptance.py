@@ -294,11 +294,11 @@ def test_criterion_9_wigner_properties():
 
 
 def test_criterion_10_separatrix_geometry():
-    curve2 = separatrix(2.0, n_points=501)
+    curve2 = separatrix(2.0)
     touches = abs(curve2.z.max() - 1.0) <= 1e-8
     through = True
     for lam in [1.3, 2.0, 2.7]:
-        c = separatrix(lam, n_points=301)
+        c = separatrix(lam)
         z_at_pi = c.z[np.isclose(np.abs(c.phi), np.pi)]
         through = through and z_at_pi.size == 2 and np.all(z_at_pi == 0.0)
     ok = touches and through

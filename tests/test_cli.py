@@ -5,6 +5,8 @@ import importlib
 import json
 import math
 import os
+import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -354,6 +356,27 @@ class TestDeterminism:
         assert contents[0] == contents[1]
 
 
+    def test_readme_lists_the_ci_repeat_commands(self):
+        # every bjjsim command of the CI's "Repeat ... are byte-identical" steps, without --out
+        root = Path(__file__).resolve().parent.parent
+        workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+        ci = set()
+        for step in workflow.split("- name: ")[1:]:
+            if not re.match(r"Repeat .* are byte-identical\n", step):
+                continue
+            for line in step.splitlines():
+                words = shlex.split(line.strip(), comments=True)
+                if words[:1] == ["bjjsim"]:
+                    at = words.index("--out")
+                    ci.add(" ".join(words[:at] + words[at + 2:]))
+        readme = (root / "README.md").read_text()
+        section = readme.split("\n## Determinism\n", 1)[1].split("\n## ", 1)[0]
+        blocks = section.split("```")[1::2]
+        listed = {line.strip() for block in blocks for line in block.splitlines() if line.strip()}
+        assert "bjjsim evolve --config run.conf" in ci  # the parse found the CI commands
+        assert listed == ci
+
+
 class TestParticleLimit:
     @pytest.fixture
     def no_dense_operators(self, monkeypatch):
@@ -453,6 +476,19 @@ class TestCouplingGuards:
         assert rc == 1
         assert f"needs 1/lam^2 finite, lam above about 7.5e-155 (2^-512), got {lam}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("state", ["pi", "zero"])
+    @pytest.mark.parametrize("lam", ["1e155", "1e200"])
+    def test_fit_above_the_squarable_lambda(self, tmp_path, state, lam):
+        # s^2 overflows above about 1.34e154; 1/s^2 underflows there, and the series is g = 1/s
+        rc = main(["fit", "--state", state, "--n", "20", "--lambda", lam, "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "fit.csv", newline="") as fh:
+            fh.readline()
+            (row,) = csv.DictReader(fh)
+        a = 1.0 / (float(lam) if state == "pi" else -float(lam))
+        assert float(row["p4_analytic"]) == a / 6.0
+        assert float(row["p3_analytic"]) == -0.125 - a / 6.0
 
     @pytest.mark.parametrize("state", ["pi", "zero"])
     def test_sweep_row_below_the_series_domain_fails_before_solving(self, tmp_path, monkeypatch, state):

@@ -257,18 +257,18 @@ class TestSeparatrix:
 
     def test_passes_through_fixed_point_exactly(self):
         for lam in [1.3, 2.0, 3.5]:
-            curve = separatrix(lam, n_points=301)
+            curve = separatrix(lam)
             at_pi = curve.z[np.isclose(curve.phi, np.pi)]
             assert at_pi.size == 1 and at_pi[0] == 0.0
             at_minus_pi = curve.z[np.isclose(curve.phi, -np.pi)]
             assert at_minus_pi.size == 1 and at_minus_pi[0] == 0.0
 
     def test_touches_poles_at_lam_two(self):
-        curve = separatrix(2.0, n_points=501)
+        curve = separatrix(2.0)
         assert curve.z.max() == pytest.approx(1.0, abs=1e-8)
 
     def test_energy_residual(self):
-        curve = separatrix(1.7, n_points=401)
+        curve = separatrix(1.7)
         resid = np.abs(mean_field_energy(curve.z, curve.phi, 1.7) - 1.0)
         assert resid.max() < 1e-8
 
@@ -281,11 +281,11 @@ class TestSeparatrix:
         else:
             f = lambda z: lam * z**2 / 2.0 - np.sqrt(1.0 - z**2) - 1.0
         z_star = brentq(f, 1e-9, 1.0 - 1e-15, xtol=1e-14)
-        curve = separatrix(lam, n_points=801)
+        curve = separatrix(lam)
         assert curve.z.max() == pytest.approx(z_star, abs=1e-8)
 
     def test_confined_domain_below_lam_two(self):
-        curve = separatrix(1.5, n_points=201)
+        curve = separatrix(1.5)
         # tangency angle: cos^2(phi) = lam(2 - lam)
         phi_c = np.arccos(-np.sqrt(1.5 * 0.5))
         assert curve.phi.min() == pytest.approx(-np.pi)
@@ -293,7 +293,7 @@ class TestSeparatrix:
         assert inner.min() == pytest.approx(phi_c, abs=1e-12)
 
     def test_full_domain_above_lam_two(self):
-        curve = separatrix(3.0, n_points=201)
+        curve = separatrix(3.0)
         assert curve.phi.min() == pytest.approx(-np.pi)
         assert np.any(np.isclose(curve.phi, 0.0))
 
