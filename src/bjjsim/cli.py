@@ -47,13 +47,14 @@ MAX_N = 4000
 #: Largest particle number for `wigner`.  Memory is O(N^2): the multipole
 #: pass holds two tensor blocks and (N+1)^2 complex multipoles per snapshot,
 #: each grid array holds 8 (2N+3)(4N+5) bytes (16 MB at N = 500), and the
-#: CSV writer holds the value text of the northern rows until their mirror
-#: rows are written (about 48 MB at N = 500).  Time is O(N^3) in the pass
-#: and in the Legendre tables, and each snapshot's CSV holds about 690 N^2
-#: bytes.  At N = 500 (2-core host, one BLAS thread) one snapshot runs in
-#: 7-10 s at 146 MiB peak RSS and writes 172 MB; two run in 13 s at
-#: 150 MiB.  Run time and file size, not memory, keep the limit at 500: at
-#: 2N the O(N^3) parts take 8 times as long and the CSV is 4 times the size.
+#: CSV writer holds the encoded values of the northern rows, 24 bytes each,
+#: until their mirror rows are written (about 48 MB at N = 500).  Time is
+#: O(N^3) in the pass and in the Legendre tables, and each snapshot's CSV
+#: holds about 690 N^2 bytes.  At N = 500 (2-core host, one BLAS thread)
+#: one snapshot runs in 4.0-4.8 s at 148-149 MiB peak RSS and writes
+#: 172 MB; two run in 5.7-6.6 s at 152 MiB.  Run time and file size, not
+#: memory, keep the limit at 500: at 2N the O(N^3) parts take 8 times as
+#: long and the CSV is 4 times the size.
 WIGNER_MAX_N = 500
 #: Bytes of the multipoles that `wigner` holds for all its snapshots at
 #: once, 16 (N+1)^2 per snapshot (3.8 MiB at N = 500): the one multipole
@@ -61,16 +62,17 @@ WIGNER_MAX_N = 500
 #: the snapshot count that no other limit bounds.  128 MiB admits 33
 #: snapshots at N = 500 and 2254 at N = 60.  At N = 500 (one BLAS thread)
 #: the propagation and the pass peak at 75 MiB RSS for one snapshot and
-#: 200 MiB for 33, and one snapshot's grids and CSV text add about
+#: 200 MiB for 33, and one snapshot's grids and held CSV bytes add about
 #: 70 MiB: below the about 320 MB of the largest fit.  More snapshots are
 #: a configuration error before any propagation.
 WIGNER_MULTIPOLE_BYTES = 2**27
 #: Most time steps accepted by `evolve` and `oat-compare`.  Every column is
 #: an array of n_steps doubles, and both writers convert and write the rows
-#: a block at a time: `evolve --compare analytic,oat` peaks at about
-#: 0.4 kB per step in CSV and in JSON (156 MB RSS in CSV and 159 to
-#: 164 MB in JSON at 200 000 steps for N = 60, 160 to 165 MB in JSON for
-#: N = 1000), half the peak of the largest fit and sweep at MAX_N.  The
+#: a block at a time: at 200 000 steps `evolve --compare analytic,oat`
+#: peaks at 144 MiB RSS in CSV for N = 60 and 147 to 149 MiB for N = 1000
+#: (the CSV encoder's blocks of about 4096 numbers add about 1 MB), and at
+#: 159 to 164 MB in JSON for N = 60 and 160 to 165 MB for N = 1000, half
+#: the peak of the largest fit and sweep at MAX_N.  The
 #: kernel's row slices (`exact_dynamics.SLICE_DOUBLES`) make temporaries
 #: that come from the heap, which keeps freed pages: slices of 2^17
 #: doubles would lower the CSV peak by about 5 MB but slow an N = 200
@@ -240,8 +242,10 @@ def _protocol_fit(params: ModelParams, psi0: StateVector):
 def _sweep_row(args) -> list:
     lam, n, state, oat_p3 = args
     try:
-        # the closed-form series first: a lam outside its domain fails the row before any solve
+        # the closed-form series and its rescaling first: a lam outside their domain fails
+        # the row before any solve
         series = taylor_zeta2(state, lam)
+        ana = series.in_omega_time(lam)
         params = ModelParams.coupled(n, lam)
         cfg = RunConfig(params=params, initial_state=state)
         psi0 = initial_state_vector(cfg)
@@ -266,7 +270,6 @@ def _sweep_row(args) -> list:
         # the simulated lam, where its regime was decided
         z_ana = zeta2_min(regime, params.lam, n) if oscillates else math.nan
 
-        ana = series.in_omega_time(lam)
         r_num = fit.coeffs.p3 / oat_p3 if oat_p3 else math.nan
         # r_analytic: the row state's series p3 over the twisting p3, in the N chi t units of r_num
         return [lam, z_min, t_min, z_ana,

@@ -62,7 +62,13 @@ class TaylorCoeffs:
     p4: float
 
     def in_omega_time(self, lam: float) -> "TaylorCoeffs":
-        """Rescale to powers of (omega t) using N chi = lam * omega."""
+        """Rescale to powers of (omega t) using N chi = lam * omega.
+
+        Needs lam^4 finite: |lam| below 2^256 = 1.16e77, where lam**4 would
+        overflow (OverflowError from float pow).
+        """
+        if abs(lam) >= 2.0**256:
+            raise ValueError(f"rescaling to omega t needs lam^4 finite, lam below about 1.16e77 (2^256), got {lam}")
         return TaylorCoeffs(
             self.p1 * lam, self.p2 * lam**2, self.p3 * lam**3, self.p4 * lam**4
         )

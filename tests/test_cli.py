@@ -514,6 +514,18 @@ class TestCouplingGuards:
             f"error: model {state!r} needs 1/lam^2 finite, lam above about 7.5e-155 (2^-512), got {lam}"
             for lam in (1e-170, 1e-160)]
 
+    def test_sweep_row_above_the_rescalable_lambda(self, tmp_path):
+        # lam**4 overflows from lam = 2^256 = 1.16e77 on: that row fails naming the limit, the row
+        # below it runs
+        cfg = SweepConfig(lambda_grid=(1e70, 1e78), base=small_cfg(
+            tmp_path, params=ModelParams.coupled(20, 2.0)))
+        with open(run_sweep(cfg)[0], newline="") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows] == [
+            "ok", "error: rescaling to omega t needs lam^4 finite, lam below about 1.16e77 (2^256), got 1e+78"]
+        assert math.isfinite(float(rows[0]["p4_analytic"]))
+
     @pytest.mark.parametrize("argv, name", [
         (["evolve", "--state", "zero", "--compare", "oat"], "evolve.csv"),
         (["oat-compare"], "oat_compare.csv"),

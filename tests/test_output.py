@@ -1,14 +1,24 @@
-"""Flat-file emission: block formatting, string quoting and row validation."""
+"""Flat-file emission: the number encoder, block formatting, string quoting and row validation."""
 
 import csv
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bjjsim.output
-from bjjsim.output import BLOCK_ROWS, SCHEMA_VERSION, GridRows, write_csv, write_table
+from bjjsim.output import (
+    BLOCK_ROWS,
+    CELL_BYTES,
+    SCHEMA_VERSION,
+    GridRows,
+    _encode,
+    write_csv,
+    write_table,
+)
 
 EDGE = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.8e308, 1.7976931348623157e308, 1 / 3]
 
@@ -19,6 +29,145 @@ def data_lines(path):
 
 def per_field(rows):
     return [",".join(format(float(x), ".17g") for x in row) for row in rows]
+
+
+def encoded(values):
+    """_encode's text of each value, its NUL padding removed."""
+    return [c.tobytes().replace(b"\0", b"").decode() for c in _encode(np.ravel(values))]
+
+
+def formatted(values):
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def powers_of_ten():
+    """Every power of ten a double reaches, 1e-323 .. 1e308, and its two neighbours."""
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    return [y for x in powers for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+
+
+def exact_ties():
+    """Doubles whose 18th significant digit is an exact 5: q = k 5^(16-E) / 2 for odd k.
+
+    x = k / 2^(17-E) in decade E has x 10^(16-E) = n + 1/2, so '%.17g' rounds
+    a true half to even; both parities of n are taken.
+    """
+    ties = [1000000000000000.25]
+    for e in range(-8, 16):
+        k = math.ceil(Fraction(10) ** e * 2 ** (17 - e)) | 1
+        ties += [k / 2 ** (17 - e), (k + 2) / 2 ** (17 - e)]
+    return ties
+
+
+SUBNORMALS = [5e-324, 1e-323, 2.2250738585072009e-308, 1.5e-310, 4.9406564584124654e-320]
+FORM_SWITCHES = [  # '%.17g' changes between fixed and exponent form at 1e-4 and 1e17
+    1e-5, 9.9999999999999991e-06, 1.0000000000000001e-05, 1e-4, 9.9999999999999991e-05,
+    0.00010000000000000002, 0.00012345, 1e16, 9999999999999998.0, 10000000000000002.0,
+    99999999999999984.0, 1e17, 100000000000000016.0, 123456789012345678.0, 12345678901234567.0,
+]
+EDGE_LISTS = {
+    "powers of ten": powers_of_ten(),
+    "zeros, infinities, nan, subnormals": [0.0, -0.0, math.inf, -math.inf, math.nan, *SUBNORMALS],
+    "exact ties": exact_ties(),
+    "fixed and exponent form": FORM_SWITCHES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_LISTS))
+def test_encoder_matches_format_on_edge_lists(name):
+    values = np.array(EDGE_LISTS[name])
+    values = np.concatenate([values, -values])
+    assert encoded(values) == formatted(values)
+
+
+def test_edge_ties_are_true_ties():
+    for x in exact_ties():
+        e = math.floor(math.log10(x))
+        assert Fraction(x) * 10 ** (16 - e) % 1 == Fraction(1, 2)
+
+
+def test_encoder_matches_format_on_a_million_values():
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64, 500_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    scaled = rng.standard_normal(500_000) * 10.0 ** rng.integers(-30, 30, 500_000)
+    for values in (bits, scaled):
+        assert encoded(values) == formatted(values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=64))
+def test_encoder_matches_format_on_any_bit_pattern(words):
+    values = np.array(words, dtype=np.uint64).view(np.float64)
+    assert encoded(values) == formatted(values)
+
+
+def test_ties_need_the_fallback(monkeypatch):
+    # with a margin of -1/2 no residue goes to '%.17g', and a half is rounded up, not to
+    # even: the ties above are written right only because they take the fallback
+    ties = exact_ties()
+    monkeypatch.setattr(bjjsim.output, "MARGIN", -0.5)
+    assert encoded(ties) != formatted(ties)
+
+
+@pytest.mark.parametrize("change", [{"MARGIN": 0.5}, {"FAST_MIN": math.inf}])
+def test_fallback_alone_gives_the_same_bytes(monkeypatch, change):
+    # every value through '%.17g': every residue within the margin, or every |x| out of range
+    for name, value in change.items():
+        monkeypatch.setattr(bjjsim.output, name, value)
+    values = np.concatenate([powers_of_ten(), exact_ties(), FORM_SWITCHES, SUBNORMALS,
+                             np.random.default_rng(5).standard_normal(1000)])
+    assert encoded(values) == formatted(values)
+
+
+def test_encoder_writes_into_a_strided_block():
+    # the cells of a block of lines, each cell followed by its separator byte
+    values = np.random.default_rng(9).standard_normal((4, 3)) * 1e-7
+    buf = np.full((4, 3, CELL_BYTES + 1), ord(","), np.uint8)
+    buf[:, -1, CELL_BYTES] = ord("\n")
+    _encode(values, buf[..., :CELL_BYTES])
+    want = "".join(",".join(row) + "\n" for row in np.reshape(formatted(values.ravel()), (4, 3)))
+    assert buf.tobytes().replace(b"\0", b"").decode() == want
+
+
+def reference_csv(columns, rows):
+    """The bytes write_csv promises: one '%.17g' format per number, row by row."""
+    lines = [f"# schema=t-v{SCHEMA_VERSION} columns={len(columns)}", ",".join(columns)]
+    lines += [",".join("%.17g" % v for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def evolve_table(rng):
+    # 50 steps of 23 columns: times, O(1) moments, tiny residues and a zero first time
+    table = rng.standard_normal((50, 23)) * 10.0 ** rng.integers(-16, 4, (1, 23))
+    table[:, 0] = np.linspace(0.0, 10.0, 50)
+    return table
+
+
+def separatrix_table(rng):
+    phi = np.linspace(-math.pi, math.pi, 721)
+    z = np.sqrt(np.abs(rng.standard_normal(721))) * 0.9
+    return np.column_stack((phi, z, -z))
+
+
+@pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 2])
+@pytest.mark.parametrize("shape", ["evolve", "separatrix"])
+def test_array_tables_give_the_reference_bytes(tmp_path, monkeypatch, block_rows, shape):
+    monkeypatch.setattr(bjjsim.output, "BLOCK_ROWS", block_rows)
+    rows = {"evolve": evolve_table, "separatrix": separatrix_table}[shape](np.random.default_rng(4))
+    columns = [f"c{k}" for k in range(rows.shape[1])]
+    for table in (rows, rows.tolist()):
+        path = write_csv(tmp_path / "t.csv", "t", columns, table)
+        assert path.read_bytes() == reference_csv(columns, rows.tolist())
+
+
+@pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 2])
+@pytest.mark.parametrize("part", ["all", "some", "none"])
+def test_grid_tables_give_the_reference_bytes(tmp_path, monkeypatch, block_rows, part):
+    monkeypatch.setattr(bjjsim.output, "BLOCK_ROWS", block_rows)
+    grid = grid_table(9, 13, seed=17)
+    grid = mirror_rows(grid, {"all": range(4), "some": range(0, 4, 2), "none": []}[part])
+    path = write_csv(tmp_path / "g.csv", "t", GRID_COLUMNS, grid)
+    assert path.read_bytes() == reference_csv(GRID_COLUMNS, expanded(grid))
 
 
 def test_block_writer_matches_format_float_on_edge_values(tmp_path):
@@ -124,6 +273,15 @@ def test_grid_rows_match_expanded_rows(tmp_path, fmt, shape):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_without_value_arrays_writes_its_axes(tmp_path, fmt):
+    grid = GridRows((np.arange(3.0), np.array([-0.5, 0.25])), ())
+    got = write_table(tmp_path / f"g.{fmt}", fmt, "t", ["theta", "phi"], grid)
+    want = write_table(tmp_path / f"r.{fmt}", fmt, "t", ["theta", "phi"],
+                       [[x, y] for x in range(3) for y in (-0.5, 0.25)])
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_grid_rows_edge_values_on_axes_and_values(tmp_path, fmt):
     axis = np.array([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1 / 3, 1.7976931348623157e308])
     values = np.resize(EDGE, (axis.size, axis.size))
@@ -155,6 +313,21 @@ def test_mirrored_grid_rows_match_expanded_rows(tmp_path, shape, part):
     got = write_csv(tmp_path / "g.csv", "t", GRID_COLUMNS, grid)
     want = write_csv(tmp_path / "r.csv", "t", GRID_COLUMNS, expanded(grid))
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_mirrored_rows_are_encoded_once(tmp_path, monkeypatch):
+    # 9 rows, the last four the first four mirrored: the axes and five rows of values are encoded
+    counted = []
+
+    def counting(x, out=None):
+        counted.append(np.size(x))
+        return encode(x, out)
+
+    encode = bjjsim.output._encode
+    monkeypatch.setattr(bjjsim.output, "_encode", counting)
+    grid = mirror_rows(grid_table(9, 13, seed=3), range(4))
+    write_csv(tmp_path / "g.csv", "t", GRID_COLUMNS, grid)
+    assert sum(counted) == 9 + 13 + 5 * 13 * 2
 
 
 def test_mirror_equal_only_up_to_signed_zero_is_formatted_as_is(tmp_path):
