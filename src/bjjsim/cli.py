@@ -47,14 +47,13 @@ MAX_N = 4000
 #: Largest particle number for `wigner`.  Memory is O(N^2): the multipole
 #: pass holds two tensor blocks and (N+1)^2 complex multipoles per snapshot,
 #: each grid array holds 8 (2N+3)(4N+5) bytes (16 MB at N = 500), and the
-#: CSV writer holds the encoded values of the northern rows, 24 bytes each,
-#: until their mirror rows are written (about 48 MB at N = 500).  Time is
+#: CSV writer one block of about BLOCK_ROWS encoded values.  Time is
 #: O(N^3) in the pass and in the Legendre tables, and each snapshot's CSV
-#: holds about 690 N^2 bytes.  At N = 500 (2-core host, one BLAS thread)
-#: one snapshot runs in 4.0-4.8 s at 148-149 MiB peak RSS and writes
-#: 172 MB; two run in 5.7-6.6 s at 152 MiB.  Run time and file size, not
-#: memory, keep the limit at 500: at 2N the O(N^3) parts take 8 times as
-#: long and the CSV is 4 times the size.
+#: holds about 690 N^2 bytes.  At N = 500 (shared 2-core host, one BLAS
+#: thread) one snapshot runs in 4.3-6.6 s (median 5.3 s) at 111 MiB peak
+#: RSS and writes 172 MB; two run in 7.2-9.4 s at 115 MiB.  Run time and
+#: file size, not memory, keep the limit at 500: at 2N the O(N^3) parts
+#: take 8 times as long and the CSV is 4 times the size.
 WIGNER_MAX_N = 500
 #: Bytes of the multipoles that `wigner` holds for all its snapshots at
 #: once, 16 (N+1)^2 per snapshot (3.8 MiB at N = 500): the one multipole
@@ -62,9 +61,9 @@ WIGNER_MAX_N = 500
 #: the snapshot count that no other limit bounds.  128 MiB admits 33
 #: snapshots at N = 500 and 2254 at N = 60.  At N = 500 (one BLAS thread)
 #: the propagation and the pass peak at 75 MiB RSS for one snapshot and
-#: 200 MiB for 33, and one snapshot's grids and held CSV bytes add about
-#: 70 MiB: below the about 320 MB of the largest fit.  More snapshots are
-#: a configuration error before any propagation.
+#: 200 MiB for 33, and one snapshot's grids and the CSV writer's block
+#: add about 36 MiB: below the about 320 MB of the largest fit.  More
+#: snapshots are a configuration error before any propagation.
 WIGNER_MULTIPOLE_BYTES = 2**27
 #: Most time steps accepted by `evolve` and `oat-compare`.  Every column is
 #: an array of n_steps doubles, and both writers convert and write the rows
@@ -489,7 +488,8 @@ def _run_config_from(args: argparse.Namespace) -> RunConfig:
         params = ModelParams.coupled(n, lam)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    compare = tuple(tok for tok in (getattr(args, "compare", None) or "").split(",") if tok)
+    tokens = (getattr(args, "compare", None) or "").split(",")
+    compare = tuple(tok.strip() for tok in tokens if tok.strip())
     out_dir = Path(args.out if args.out is not None else os.environ.get(ENV_OUT_DIR, "."))
     # only what flags or the config file give; RunConfig's defaults fill the rest
     given = {"initial_state": args.state, "t_max": getattr(args, "t_max", None),
@@ -497,6 +497,16 @@ def _run_config_from(args: argparse.Namespace) -> RunConfig:
              "workers": getattr(args, "workers", None)}
     return RunConfig(params=params, out_dir=out_dir, compare=compare,
                      **{key: value for key, value in given.items() if value is not None})
+
+
+def _check_out_dir(out_dir: Path) -> None:
+    """ConfigError unless out_dir's nearest existing ancestor, itself included, is a directory.
+
+    Nothing is created: the writers make the missing directories after the run.
+    """
+    path = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+    if not path.is_dir():
+        raise ConfigError(f"output directory {out_dir} cannot be made: {path} is not a directory")
 
 
 def main(argv=None) -> int:
@@ -509,6 +519,7 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(args)
         cfg = _run_config_from(args)
+        _check_out_dir(cfg.out_dir)
         if args.command == "evolve":
             paths = run_evolve(cfg)
         elif args.command == "sweep":

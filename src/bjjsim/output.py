@@ -174,8 +174,7 @@ class GridRows(NamedTuple):
 
     axes holds the two 1-D sample arrays (a, b), a varying slowest; values
     holds 2-D arrays of shape (len a, len b).  write_csv encodes each axis
-    value once instead of once per row, and the values of a mirrored pair
-    of rows once (_write_grid).
+    value once instead of once per row (_write_grid).
     """
 
     axes: tuple
@@ -259,42 +258,19 @@ def _write_rows(fh, schema_name: str, ncol: int, rows) -> None:
 
 
 def _write_grid(fh, grid: GridRows) -> None:
-    """The lines in blocks of about BLOCK_ROWS values, every number encoded once.
-
-    Each a value and each b value is encoded once for the whole grid.  Row
-    n_a-1-i that equals row i read backwards in b (index -j mod n_b, the
-    reflection phi -> -phi of a periodic grid starting at -pi), bit for bit
-    in every value array, is written from row i's encoded values read in
-    that order; they are held until then.
-    """
+    """The lines in blocks of about BLOCK_ROWS values; each a and b value encoded once."""
     a, b, values = grid.arrays()
-    n_a, n_b = a.size, b.size
-    flip = (-np.arange(n_b)) % n_b
-    bits = [v.view(np.int64) for v in values]
-    mirrored = {
-        i for i in range(n_a // 2)
-        if all(np.array_equal(v[n_a - 1 - i], v[i, flip]) for v in bits)
-    }
     a_cells, b_cells = _encode(a), _encode(b)
-    held = {}  # mirrored row i -> its value cells, (n_b, len(values), CELL_BYTES)
-    step = max(1, BLOCK_ROWS // max(n_b * len(values), 1))
-    for start in range(0, n_a, step):
-        rows = range(start, min(start + step, n_a))
-        own = [i for i in rows if n_a - 1 - i not in mirrored]
-        fresh = np.empty((len(own), n_b, len(values)))
-        for k, v in enumerate(values):
-            fresh[..., k] = v[own]
-        cells = iter(_encode(fresh))
-        buf = _lines((len(rows), n_b, 2 + len(values)))
-        buf[:, :, 0, :CELL_BYTES] = a_cells[rows.start : rows.stop, None]
+    step = max(1, BLOCK_ROWS // max(b.size * len(values), 1))
+    for start in range(0, a.size, step):
+        rows = slice(start, min(start + step, a.size))
+        buf = _lines((rows.stop - start, b.size, 2 + len(values)))
+        buf[:, :, 0, :CELL_BYTES] = a_cells[rows, None]
         buf[:, :, 1, :CELL_BYTES] = b_cells
-        for k, i in enumerate(rows):
-            if n_a - 1 - i in mirrored:
-                buf[k, :, 2:, :CELL_BYTES] = held.pop(n_a - 1 - i)[flip]
-            else:
-                buf[k, :, 2:, :CELL_BYTES] = row = next(cells)
-                if i in mirrored:
-                    held[i] = row
+        block = np.empty(buf.shape[:2] + (len(values),))
+        for k, v in enumerate(values):
+            block[..., k] = v[rows]
+        _encode(block, buf[:, :, 2:, :CELL_BYTES])
         fh.write(_text(buf))
 
 

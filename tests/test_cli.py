@@ -689,6 +689,42 @@ class TestMain:
         header, rows = read_csv(tmp_path / "evolve.csv")
         assert len(rows) == 25  # flag wins over the config file
 
+    def test_spaced_compare_list_gives_the_flag_bytes(self, tmp_path, capsys):
+        # "analytic, oat" in a config file: each target is read with its spaces stripped
+        conf = tmp_path / "run.conf"
+        conf.write_text("n = 60\nlambda = 0.9\nsteps = 20\ncompare = analytic, oat\n")
+        assert main(["evolve", "--config", str(conf), "--out", str(tmp_path / "conf")]) == 0
+        assert main(["evolve", "--n", "60", "--lambda", "0.9", "--steps", "20",
+                     "--compare", "analytic,oat", "--out", str(tmp_path / "flags")]) == 0
+        spaced = (tmp_path / "conf" / "evolve.csv").read_bytes()
+        assert spaced == (tmp_path / "flags" / "evolve.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--n", "200"], ["fit", "--n", "200"], ["sweep", "--n", "20"],
+        ["wigner", "--n", "20"], ["oat-compare", "--n", "20"],
+    ])
+    @pytest.mark.parametrize("below", ["x", "x/y"])
+    def test_out_below_a_file_is_config_error_before_the_kernel(self, tmp_path, capsys, monkeypatch,
+                                                                 argv, below):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        kernel = bjjsim.exact_dynamics._witness_kernel
+        monkeypatch.setattr(bjjsim.cli, "_witness_kernel", counting)
+        monkeypatch.setattr(bjjsim.exact_dynamics, "_witness_kernel", counting)
+        blocker = tmp_path / "evolve.csv"
+        blocker.write_text("a file\n")
+        assert main(argv + ["--out", str(blocker / below)]) == 1
+        assert f"{blocker} is not a directory" in capsys.readouterr().err
+        assert calls == []
+        assert sorted(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "a file\n"
+        # a missing directory below an existing one is made by the run
+        assert main(["fit", "--n", "20", "--out", str(tmp_path / "new" / "deeper")]) == 0
+        assert len(calls) == 1 and (tmp_path / "new" / "deeper" / "fit.csv").exists()
+
     def test_bad_config_key_rejected(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("frobnicate = 1\n")

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -315,8 +316,8 @@ def test_mirrored_grid_rows_match_expanded_rows(tmp_path, shape, part):
     assert got.read_bytes() == want.read_bytes()
 
 
-def test_mirrored_rows_are_encoded_once(tmp_path, monkeypatch):
-    # 9 rows, the last four the first four mirrored: the axes and five rows of values are encoded
+def test_grid_numbers_are_encoded_once(tmp_path, monkeypatch):
+    # 9 rows, the last four the first four mirrored: each axis value and each value once
     counted = []
 
     def counting(x, out=None):
@@ -327,11 +328,26 @@ def test_mirrored_rows_are_encoded_once(tmp_path, monkeypatch):
     monkeypatch.setattr(bjjsim.output, "_encode", counting)
     grid = mirror_rows(grid_table(9, 13, seed=3), range(4))
     write_csv(tmp_path / "g.csv", "t", GRID_COLUMNS, grid)
-    assert sum(counted) == 9 + 13 + 5 * 13 * 2
+    assert sum(counted) == 9 + 13 + 9 * 13 * 2
+
+
+def test_grid_writer_memory_does_not_grow_with_rows(tmp_path):
+    # a fully mirrored grid of 361 columns: no row's cells outlive its block
+    def peak(n_a):
+        grid = mirror_rows(grid_table(n_a, 361, seed=5), range(n_a // 2))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "g.csv", "t", GRID_COLUMNS, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(101), peak(401)
+    assert large <= 1.05 * small, (small, large)
 
 
 def test_mirror_equal_only_up_to_signed_zero_is_formatted_as_is(tmp_path):
-    # 0.0 == -0.0, but the two write as "0" and "-0": such a row is not a mirror
+    # 0.0 == -0.0, but the two write as "0" and "-0": the last row is written as given
     a, b = np.arange(3.0), np.array([-1.0, 0.0, 1.0])
     v = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [-0.0, 2.0, 1.0]])
     w = np.array([[0.5, 0.25, -0.0], [3.0, 4.0, 5.0], [0.5, 0.0, 0.25]])
